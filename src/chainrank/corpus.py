@@ -188,8 +188,8 @@ def base_retrieve(
     )
 
 
-def save_index(corpus: Corpus, path: str | Path) -> None:
-    """Persist as versioned JSON; round-trips byte-exactly through load + save."""
+def index_to_json(corpus: Corpus) -> str:
+    """Versioned JSON document store; round-trips byte-exactly through parse + dump."""
     payload = {
         "version": INDEX_VERSION,
         "documents": [
@@ -197,22 +197,27 @@ def save_index(corpus: Corpus, path: str | Path) -> None:
             for d in corpus.documents.values()
         ],
     }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":")),
-        encoding="utf-8",
-    )
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def load_index(path: str | Path) -> Corpus:
+def index_from_json(text: str) -> Corpus:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DataError(f"corrupt index file {path}: {exc}") from exc
+        raise DataError(f"corrupt index: {exc}") from exc
     if payload.get("version") != INDEX_VERSION:
         raise DataError(
             f"index version mismatch: expected {INDEX_VERSION}, got {payload.get('version')}"
         )
     return build_index([Document(**d) for d in payload["documents"]])
+
+
+def save_index(corpus: Corpus, path: str | Path) -> None:
+    Path(path).write_text(index_to_json(corpus), encoding="utf-8")
+
+
+def load_index(path: str | Path) -> Corpus:
+    return index_from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def load_documents(path: str | Path) -> list[Document]:

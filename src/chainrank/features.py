@@ -48,9 +48,6 @@ class SparseVector:
             )
         return float(sum(v * w[i] for i, v in zip(self.ids, self.values)))
 
-    def norm_sq(self) -> float:
-        return float(sum(v * v for v in self.values))
-
     def nnz(self) -> int:
         return len(self.ids)
 

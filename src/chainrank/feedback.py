@@ -48,6 +48,9 @@ class Strategy(str, Enum):
 
 
 WITHIN_QUERY_STRATEGIES = (Strategy.CLICK_SKIP_ABOVE, Strategy.CLICK_FIRST_NO_CLICK_SECOND)
+PREV_QUERY_STRATEGIES = (
+    Strategy.CLICK_SKIP_ABOVE_PREV_QUERY, Strategy.CLICK_FIRST_NO_CLICK_SECOND_PREV_QUERY,
+)
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,19 @@ class Preference:
 
 
 def prefs_within_query(
-    q: QueryEvent, clicks: list[ClickEvent], chain_id: str = ""
+    q: QueryEvent,
+    clicks: list[ClickEvent],
+    chain_id: str = "",
+    wrt_query: str | None = None,
+    strategies: tuple[Strategy, Strategy] = WITHIN_QUERY_STRATEGIES,
 ) -> list[Preference]:
-    """S1 and S2 for a single query. No clicks means no output."""
+    """S1 and S2 for a single query. No clicks means no output.
+
+    With `wrt_query` and `PREV_QUERY_STRATEGIES` the same judgments become
+    S3 and S4, stated relative to that (preceding) query.
+    """
+    skip_above, first_not_second = strategies
+    wrt = wrt_query if wrt_query is not None else q.query_id
     docs = q.result_docs()
     clicked_ranks = {c.rank for c in clicks}
     out: list[Preference] = []
@@ -76,14 +89,10 @@ def prefs_within_query(
         for rank_above in range(1, c.rank):
             if rank_above not in clicked_ranks:
                 out.append(
-                    Preference(c.doc_id, docs[rank_above - 1], q.query_id,
-                               Strategy.CLICK_SKIP_ABOVE, chain_id)
+                    Preference(c.doc_id, docs[rank_above - 1], wrt, skip_above, chain_id)
                 )
     if 1 in clicked_ranks and 2 not in clicked_ranks and len(docs) >= 2:
-        out.append(
-            Preference(docs[0], docs[1], q.query_id,
-                       Strategy.CLICK_FIRST_NO_CLICK_SECOND, chain_id)
-        )
+        out.append(Preference(docs[0], docs[1], wrt, first_not_second, chain_id))
     return out
 
 
@@ -120,15 +129,11 @@ def prefs_cross_query(
     chain: QueryChain,
     padding_pool: list[str] | None = None,
     rng: np.random.Generator | None = None,
-    top_two_clicked_variant: bool = False,
 ) -> list[Preference]:
     """S3-S6 for one chain.
 
     `padding_pool` is the corpus doc-id universe used for stand-in documents;
     without it, judgments that would need padding are simply not emitted.
-    `top_two_clicked_variant` additionally emits S6-style judgments against
-    the top two results of earlier queries that did receive clicks, skipping
-    the clicked ones.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     pool = sorted(padding_pool) if padding_pool else []
@@ -140,29 +145,12 @@ def prefs_cross_query(
         clicked_docs = [c.doc_id for c in clicks_q]
 
         if i >= 1:
-            prev_qid = chain.queries[i - 1].query_id
-            docs = q.result_docs()
-            clicked_ranks = {c.rank for c in clicks_q}
-            for c in clicks_q:
-                for rank_above in range(1, c.rank):
-                    if rank_above not in clicked_ranks:
-                        out.append(
-                            Preference(c.doc_id, docs[rank_above - 1], prev_qid,
-                                       Strategy.CLICK_SKIP_ABOVE_PREV_QUERY, chain.chain_id)
-                        )
-            if 1 in clicked_ranks and 2 not in clicked_ranks and len(docs) >= 2:
-                out.append(
-                    Preference(docs[0], docs[1], prev_qid,
-                               Strategy.CLICK_FIRST_NO_CLICK_SECOND_PREV_QUERY, chain.chain_id)
-                )
+            out.extend(prefs_within_query(q, clicks_q, chain.chain_id,
+                                          chain.queries[i - 1].query_id, PREV_QUERY_STRATEGIES))
 
         for j in range(i):
             q_e = chain.queries[j]
             strategy, targets, n_pad = _earlier_query_targets(q_e, chain.clicks[j])
-            variant_targets: list[str] = []
-            if top_two_clicked_variant and strategy is Strategy.CLICK_SKIP_EARLIER_QUERY:
-                clicked_e = {c.doc_id for c in chain.clicks[j]}
-                variant_targets = [d for d in q_e.result_docs()[:2] if d not in clicked_e]
             for cd in clicked_docs:
                 for t in targets:
                     if t != cd:
@@ -171,12 +159,6 @@ def prefs_cross_query(
                     pad = _draw_pad(rng, pool, set(q_e.result_docs()) | {cd})
                     if pad is not None:
                         out.append(Preference(cd, pad, q_e.query_id, strategy, chain.chain_id))
-                for t in variant_targets:
-                    if t != cd:
-                        out.append(
-                            Preference(cd, t, q_e.query_id,
-                                       Strategy.CLICK_TOP_TWO_EARLIER_QUERY, chain.chain_id)
-                        )
     return out
 
 
@@ -191,7 +173,6 @@ def prefs_for_log(
     mode: str = "qc",
     padding_pool: list[str] | None = None,
     seed: int = 0,
-    top_two_clicked_variant: bool = False,
 ) -> list[Preference]:
     """All preferences for a log. mode "nc" keeps S1/S2 only; "qc" adds S3-S6.
 
@@ -206,14 +187,7 @@ def prefs_for_log(
         for i, q in enumerate(chain.queries):
             out.extend(prefs_within_query(q, chain.clicks[i], chain.chain_id))
         if mode == "qc":
-            out.extend(
-                prefs_cross_query(
-                    chain,
-                    padding_pool=padding_pool,
-                    rng=_chain_rng(seed, chain.chain_id),
-                    top_two_clicked_variant=top_two_clicked_variant,
-                )
-            )
+            out.extend(prefs_cross_query(chain, padding_pool, _chain_rng(seed, chain.chain_id)))
     out.sort(key=lambda p: (p.chain_id, p.strategy.value))
     return out
 

@@ -1,47 +1,45 @@
-"""Experiment orchestration: staged pipeline, artifacts on disk, reporting.
+"""Experiment orchestration: one staged pipeline over an artifact store.
 
 Stages (index, simulate, chains, prefs, train, rerank, interleave, report)
-read versioned artifacts written by their upstream stages into the working
-directory and are individually deterministic: a rerun with identical inputs
-reproduces each artifact byte for byte.  Every stage draws randomness from a
-generator derived from (config seed, stage number).
+are functions `(cfg, store, **kw)`: each reads its inputs from the store by
+artifact name and puts its outputs back.  Two stores exist.  `DiskStore`
+keeps artifacts as versioned files in the working directory, which is how
+the CLI runs one stage per process; `MemoryStore` keeps live objects, which
+is how `run_experiment` runs them all in one call.  Both paths run the same
+stage bodies, so their reports and models agree byte for byte.
 
-`run_experiment` chains the same steps in memory for tests and small runs.
+Every stage is deterministic: a rerun with identical inputs reproduces each
+artifact byte for byte.  Every stage draws randomness from a generator
+derived from (config seed, stage number).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
-from .chains import read_chains, segment_log, write_chains
-from .corpus import Corpus, base_retrieve, build_index, load_documents, load_index, save_index, tokenize
+from .chains import DEFAULT_WINDOW_SECONDS, read_chains, segment_log, write_chains
+from .corpus import Corpus, base_retrieve, build_index, index_from_json, index_to_json, load_documents, tokenize
 from .errors import DataError, StageError
 from .features import FeatureSpace, phi
 from .feedback import Preference, prefs_for_log, read_preferences, strategy_counts, write_preferences
 from .interleave import sign_test
 from .logs import SearchLog, parse_log, write_log
-from .ranking import RerankRequest, ScoredRanking, rerank
-from .simulate import (
-    Intent,
-    PairEvalResult,
-    UserBehavior,
-    interleaved_eval,
-    read_intents,
-    simulate,
-    write_truth,
-)
-from .solver import Model, PreferenceConstraint, fit_model, load_model, save_model
+from .ranking import BASE_DEPTH, RerankRequest, ScoredEntry, ScoredRanking, rerank
+from .simulate import (Intent, PairEvalResult, UserBehavior, interleaved_eval, read_intents,
+                       read_truth, simulate, write_truth)
+from .solver import (DEFAULT_C, DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, DEFAULT_W_MIN, Model,
+                     PreferenceConstraint, fit_model, model_from_json, model_to_json)
 
 log = logging.getLogger(__name__)
 
 ARTIFACT_VERSION = 1
 BASE_FN = "base"
-BASE_DEPTH = 100  # base ranking depth used for rank features at serving time
 _STAGE_SEEDS = {"simulate": 1, "prefs": 2, "interleave": 3}
 
 
@@ -54,11 +52,11 @@ class ExperimentConfig:
     sessions: int = 2000
     eval_sessions: int = 1000
     results_per_query: int = 10
-    window_seconds: int = 1800
-    C: float = 1.0
-    w_min: float = 1.0
-    tolerance: float = 1e-6
-    max_iters: int = 10000
+    window_seconds: int = DEFAULT_WINDOW_SECONDS
+    C: float = DEFAULT_C
+    w_min: float = DEFAULT_W_MIN
+    tolerance: float = DEFAULT_TOLERANCE
+    max_iters: int = DEFAULT_MAX_ITERS
     noise: float = 0.1
     scan_persistence: float = 0.85
     reformulate_prob: float = 0.95
@@ -106,28 +104,113 @@ def _stage_seed(seed: int, stage: str) -> int:
     return int(np.random.SeedSequence([seed, _STAGE_SEEDS[stage]]).generate_state(1)[0])
 
 
-def _write_artifact(path: Path, text: str, meta: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    meta_path = path.with_name(path.name + ".meta.json")
-    meta_path.write_text(
-        json.dumps({"version": ARTIFACT_VERSION, **meta}, sort_keys=True, separators=(",", ":")),
-        encoding="utf-8",
-    )
+# ---------------------------------------------------------------------------
+# Artifact stores
 
 
-def _require(path: Path, producer: str) -> str:
-    if not path.exists():
-        raise StageError(f"missing artifact {path}; run the '{producer}' stage first")
-    meta_path = path.with_name(path.name + ".meta.json")
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if meta.get("version") != ARTIFACT_VERSION:
-            raise StageError(
-                f"artifact {path} has version {meta.get('version')}, "
-                f"expected {ARTIFACT_VERSION}; refusing to use it"
+def _canonical_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _parse_eval(text: str) -> dict:
+    raw = json.loads(text)
+    if raw.get("version") != ARTIFACT_VERSION:
+        raise StageError(f"eval artifact {raw.get('modes')} has wrong version")
+    return raw
+
+
+@dataclass(frozen=True)
+class _Format:
+    """How one kind of artifact lives on disk."""
+
+    suffix: str
+    producer: str  # the stage that writes it
+    dump: Callable[[Any], str]
+    parse: Callable[..., Any]  # artifact text, then the artifacts named in `needs`
+    needs: tuple[str, ...] = ()
+    sidecar: bool = True  # a .meta.json next to the file; index and models carry their own version
+
+
+# Keyed by the artifact name up to its first "_": prefs_qc, model_nc, eval_qc_vs_base, ...
+_FORMATS = {
+    "index": _Format(".json", "index", index_to_json, index_from_json, sidecar=False),
+    "log": _Format(".jsonl", "simulate", write_log, parse_log),
+    "truth": _Format(".jsonl", "simulate", write_truth, read_truth),
+    "chains": _Format(".jsonl", "chains", write_chains, read_chains, needs=("log",)),
+    "prefs": _Format(".jsonl", "prefs", write_preferences, read_preferences),
+    "model": _Format(".json", "train", model_to_json, model_from_json, sidecar=False),
+    "eval": _Format(".json", "interleave", _canonical_json, _parse_eval),
+    "report": _Format(".json", "report", _canonical_json, json.loads),
+}
+
+# Experiment inputs: config field holding the path, what it is, loader.
+_INPUTS = {
+    "docs": ("corpus", "corpus path", load_documents),
+    "intents": ("intents", "intent fixture",
+                lambda path: read_intents(path.read_text(encoding="utf-8"))),
+}
+
+
+class MemoryStore(dict):
+    """Artifacts as live objects keyed by name; `put` drops the provenance meta."""
+
+    def put(self, name: str, value, **meta) -> None:
+        self[name] = value
+
+
+class DiskStore:
+    """Artifacts as files in the config's workdir; inputs at the paths it names.
+
+    Reading an artifact checks that it exists and that its sidecar carries
+    the current version, then parses it, at most once per store.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self._parsed: dict[str, Any] = {}
+
+    def _file(self, name: str) -> tuple[_Format, Path, Path]:
+        """(format, artifact path, sidecar path) of a named artifact."""
+        fmt = _FORMATS[name.partition("_")[0]]
+        path = self.cfg.path(name + fmt.suffix)
+        return fmt, path, path.with_name(path.name + ".meta.json")
+
+    def __getitem__(self, name: str):
+        if name not in self._parsed:
+            self._parsed[name] = self._load(name)
+        return self._parsed[name]
+
+    def _load(self, name: str):
+        if name in _INPUTS:
+            key, what, load = _INPUTS[name]
+            path = Path(getattr(self.cfg, key))
+            if not path.exists():
+                raise StageError(f"{what} does not exist: {path}")
+            return load(path)
+        fmt, path, meta_path = self._file(name)
+        if not path.exists():
+            raise StageError(f"missing artifact {path}; run the '{fmt.producer}' stage first")
+        if fmt.sidecar and meta_path.exists():
+            version = json.loads(meta_path.read_text(encoding="utf-8")).get("version")
+            if version != ARTIFACT_VERSION:
+                raise StageError(
+                    f"artifact {path} has version {version}, "
+                    f"expected {ARTIFACT_VERSION}; refusing to use it"
+                )
+        return fmt.parse(path.read_text(encoding="utf-8"), *(self[n] for n in fmt.needs))
+
+    def put(self, name: str, value, **meta) -> None:
+        """Write `value`, plus a sidecar of version, producing stage and `meta`."""
+        fmt, path, meta_path = self._file(name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(fmt.dump(value), encoding="utf-8")
+        if fmt.sidecar:
+            meta_path.write_text(
+                _canonical_json({"version": ARTIFACT_VERSION, "stage": fmt.producer, **meta}),
+                encoding="utf-8",
             )
-    return path.read_text(encoding="utf-8")
+        self._parsed[name] = value
+        log.debug("wrote %s", path)
 
 
 def base_ranker(corpus: Corpus):
@@ -181,20 +264,6 @@ def build_constraints(
     return constraints
 
 
-def train_from_log(
-    searchlog: SearchLog,
-    prefs: list[Preference],
-    C: float,
-    w_min: float,
-    tolerance: float,
-    max_iters: int,
-) -> Model:
-    space = FeatureSpace((BASE_FN,))
-    constraints = build_constraints(prefs, searchlog, space)
-    return fit_model(space, constraints, C=C, w_min=w_min,
-                     tolerance=tolerance, max_iters=max_iters)
-
-
 def make_report(outcomes: list[tuple[str, str, PairEvalResult]]) -> tuple[dict, str]:
     """Summarize interleaved comparisons: counts, sign-test p, 99% verdicts."""
     pairs = []
@@ -241,195 +310,93 @@ class ExperimentArtifacts:
     report_text: str
 
 
-def run_experiment(
-    docs,
-    intents: list[Intent],
-    *,
-    seed: int = 7,
-    sessions: int = 200,
-    eval_sessions: int = 100,
-    behavior: UserBehavior | None = None,
-    C: float = 1.0,
-    w_min: float = 1.0,
-    tolerance: float = 1e-6,
-    max_iters: int = 10000,
-    results_per_query: int = 10,
-    window_seconds: int = 1800,
-    comparisons: tuple = (("qc", "base"), ("qc", "nc")),
-) -> ExperimentArtifacts:
-    """Full in-memory pipeline: index, simulate, chains, prefs, train, evaluate."""
-    behavior = behavior if behavior is not None else UserBehavior()
-    corpus = build_index(docs)
-    rank0 = base_ranker(corpus)
-    searchlog, truth = simulate(
-        corpus, rank0, intents, behavior, sessions,
-        _stage_seed(seed, "simulate"), results_per_query,
-    )
-    chain_list = segment_log(searchlog, window_seconds)
-    modes = sorted({m for pair in comparisons for m in pair} - {"base"})
-    prefs = {
-        mode: prefs_for_log(searchlog, chain_list, mode, corpus.doc_ids(),
-                            _stage_seed(seed, "prefs"))
-        for mode in modes
-    }
-    models = {
-        mode: train_from_log(searchlog, prefs[mode], C, w_min, tolerance, max_iters)
-        for mode in modes
-    }
-    rankers = {"base": rank0}
-    rankers.update({mode: model_ranker(corpus, models[mode]) for mode in modes})
-    outcomes = []
-    for a, b in comparisons:
-        res = interleaved_eval(
-            rankers[a], rankers[b], intents, behavior, eval_sessions,
-            _stage_seed(seed, "interleave"), results_per_query,
-        )
-        outcomes.append((a, b, res))
-    report, text = make_report(outcomes)
-    return ExperimentArtifacts(
-        corpus=corpus, log=searchlog, truth=truth, chains=chain_list,
-        prefs=prefs, models=models, outcomes=outcomes,
-        report=report, report_text=text,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Disk-based stages
+# Stages: (cfg, store, **kw) -> read inputs from the store, put outputs back
 
 
-def stage_index(cfg: ExperimentConfig) -> Path:
-    source = Path(cfg.corpus)
-    if not source.exists():
-        raise StageError(f"corpus path does not exist: {source}")
-    corpus = build_index(load_documents(source))
-    out = cfg.path("index.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_index(corpus, out)  # carries its own version field
-    log.info("indexed %d documents -> %s", len(corpus), out)
-    return out
+def stage_index(cfg: ExperimentConfig, store) -> None:
+    corpus = build_index(store["docs"])
+    store.put("index", corpus)
+    log.info("indexed %d documents", len(corpus))
 
 
-def _load_corpus(cfg: ExperimentConfig) -> Corpus:
-    path = cfg.path("index.json")
-    if not path.exists():
-        raise StageError(f"missing artifact {path}; run the 'index' stage first")
-    return load_index(path)
-
-
-def _load_intents(cfg: ExperimentConfig) -> list[Intent]:
-    path = Path(cfg.intents)
-    if not path.exists():
-        raise StageError(f"intent fixture does not exist: {path}")
-    return read_intents(path.read_text(encoding="utf-8"))
-
-
-def stage_simulate(cfg: ExperimentConfig) -> Path:
-    corpus = _load_corpus(cfg)
-    intents = _load_intents(cfg)
+def stage_simulate(cfg: ExperimentConfig, store) -> None:
+    corpus = store["index"]
     seed = _stage_seed(cfg.seed, "simulate")
     searchlog, truth = simulate(
-        corpus, base_ranker(corpus), intents, cfg.behavior(),
+        corpus, base_ranker(corpus), store["intents"], cfg.behavior(),
         cfg.sessions, seed, cfg.results_per_query,
     )
-    out = cfg.path("log.jsonl")
-    _write_artifact(out, write_log(searchlog),
-                    {"stage": "simulate", "seed": seed, "sessions": cfg.sessions})
-    _write_artifact(cfg.path("truth.jsonl"), write_truth(truth),
-                    {"stage": "simulate", "seed": seed})
-    log.info("simulated %d sessions -> %s", cfg.sessions, out)
-    return out
+    store.put("log", searchlog, seed=seed, sessions=cfg.sessions)
+    store.put("truth", truth, seed=seed)
+    log.info("simulated %d sessions, %d events", cfg.sessions, len(searchlog))
 
 
-def stage_chains(cfg: ExperimentConfig) -> Path:
-    searchlog = parse_log(_require(cfg.path("log.jsonl"), "simulate"))
-    chain_list = segment_log(searchlog, cfg.window_seconds)
-    out = cfg.path("chains.jsonl")
-    _write_artifact(out, write_chains(chain_list),
-                    {"stage": "chains", "window_seconds": cfg.window_seconds,
-                     "n_chains": len(chain_list)})
-    log.info("segmented %d chains -> %s", len(chain_list), out)
-    return out
+def stage_chains(cfg: ExperimentConfig, store) -> None:
+    chain_list = segment_log(store["log"], cfg.window_seconds)
+    store.put("chains", chain_list, window_seconds=cfg.window_seconds, n_chains=len(chain_list))
+    log.info("segmented %d chains", len(chain_list))
 
 
-def stage_prefs(cfg: ExperimentConfig, mode: str = "qc") -> Path:
-    searchlog = parse_log(_require(cfg.path("log.jsonl"), "simulate"))
-    chain_list = read_chains(_require(cfg.path("chains.jsonl"), "chains"), searchlog)
-    corpus = _load_corpus(cfg)
+def stage_prefs(cfg: ExperimentConfig, store, mode: str = "qc") -> None:
+    searchlog, chain_list = store["log"], store["chains"]
     seed = _stage_seed(cfg.seed, "prefs")
-    prefs = prefs_for_log(searchlog, chain_list, mode, corpus.doc_ids(), seed)
-    out = cfg.path(f"prefs_{mode}.jsonl")
-    _write_artifact(out, write_preferences(prefs),
-                    {"stage": "prefs", "mode": mode, "seed": seed,
-                     "counts": strategy_counts(prefs)})
-    log.info("generated %d %s preferences -> %s", len(prefs), mode, out)
-    return out
+    prefs = prefs_for_log(searchlog, chain_list, mode, store["index"].doc_ids(), seed)
+    store.put(f"prefs_{mode}", prefs, mode=mode, seed=seed, counts=strategy_counts(prefs))
+    log.info("generated %d %s preferences", len(prefs), mode)
 
 
-def stage_train(cfg: ExperimentConfig, mode: str = "qc") -> Path:
-    searchlog = parse_log(_require(cfg.path("log.jsonl"), "simulate"))
-    prefs = read_preferences(_require(cfg.path(f"prefs_{mode}.jsonl"), "prefs"))
-    model = train_from_log(searchlog, prefs, cfg.C, cfg.w_min, cfg.tolerance, cfg.max_iters)
-    out = cfg.path(f"model_{mode}.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, out)
-    log.info("trained %s model (%s constraints) -> %s", mode,
-             model.meta.get("n_constraints"), out)
-    return out
+def stage_train(cfg: ExperimentConfig, store, mode: str = "qc") -> None:
+    searchlog, prefs = store["log"], store[f"prefs_{mode}"]
+    space = FeatureSpace((BASE_FN,))
+    model = fit_model(space, build_constraints(prefs, searchlog, space), C=cfg.C,
+                      w_min=cfg.w_min, tolerance=cfg.tolerance, max_iters=cfg.max_iters)
+    store.put(f"model_{mode}", model)
+    log.info("trained %s model (%s constraints)", mode, model.meta.get("n_constraints"))
 
 
-def _ranker_for(cfg: ExperimentConfig, corpus: Corpus, side: str):
-    if side == "base":
-        return base_ranker(corpus)
-    path = cfg.path(f"model_{side}.json")
-    if not path.exists():
-        raise StageError(f"missing artifact {path}; run the 'train' stage first")
-    return model_ranker(corpus, load_model(path))
+def _ranker(store, side: str):
+    corpus = store["index"]
+    return base_ranker(corpus) if side == "base" else model_ranker(corpus, store[f"model_{side}"])
 
 
-def stage_rerank(cfg: ExperimentConfig, query: str, mode: str = "qc", k: int | None = None) -> ScoredRanking:
-    corpus = _load_corpus(cfg)
-    terms = tokenize(query)
-    ranker = _ranker_for(cfg, corpus, mode)
-    return ranker(terms, k if k is not None else cfg.results_per_query)
+def stage_rerank(cfg: ExperimentConfig, store, query: str, mode: str = "qc",
+                 k: int | None = None) -> ScoredRanking:
+    ranking = _ranker(store, mode)(tokenize(query), k if k is not None else cfg.results_per_query)
+    if mode == "base":  # same entry type as a reranked list
+        ranking = ScoredRanking(ranking.query_id, [
+            ScoredEntry(e.doc_id, e.score, "base_results") for e in ranking.entries
+        ])
+    return ranking
 
 
-def stage_interleave(cfg: ExperimentConfig, pair: tuple[str, str] | None = None) -> list[Path]:
-    corpus = _load_corpus(cfg)
-    intents = _load_intents(cfg)
+def stage_interleave(cfg: ExperimentConfig, store, pair: tuple[str, str] | None = None) -> None:
+    intents = store["intents"]
     seed = _stage_seed(cfg.seed, "interleave")
-    pairs = [tuple(p) for p in ([list(pair)] if pair else cfg.comparisons)]
-    outputs = []
+    pairs = [pair] if pair else cfg.comparisons
+    rankers = {side: _ranker(store, side) for side in sorted({s for p in pairs for s in p})}
     for a, b in pairs:
         res = interleaved_eval(
-            _ranker_for(cfg, corpus, a), _ranker_for(cfg, corpus, b),
-            intents, cfg.behavior(), cfg.eval_sessions, seed, cfg.results_per_query,
+            rankers[a], rankers[b], intents, cfg.behavior(), cfg.eval_sessions, seed,
+            cfg.results_per_query,
         )
-        out = cfg.path(f"eval_{a}_vs_{b}.json")
-        payload = {"version": ARTIFACT_VERSION, "modes": f"{a}_vs_{b}",
-                   "wins_a": res.wins_a, "wins_b": res.wins_b, "ties": res.ties,
-                   "impressions": res.impressions, "seed": seed}
-        _write_artifact(out, json.dumps(payload, sort_keys=True, separators=(",", ":")),
-                        {"stage": "interleave", "seed": seed})
-        outputs.append(out)
-        log.info("interleaved %s vs %s: %d/%d/%d -> %s",
-                 a, b, res.wins_a, res.wins_b, res.ties, out)
-    return outputs
+        payload = {"version": ARTIFACT_VERSION, "modes": f"{a}_vs_{b}", **asdict(res), "seed": seed}
+        store.put(f"eval_{a}_vs_{b}", payload, seed=seed)
+        log.info("interleaved %s vs %s: %d/%d/%d", a, b, res.wins_a, res.wins_b, res.ties)
 
 
-def stage_report(cfg: ExperimentConfig) -> tuple[dict, str]:
-    outcomes = []
-    for a, b in (tuple(p) for p in cfg.comparisons):
-        raw = json.loads(_require(cfg.path(f"eval_{a}_vs_{b}.json"), "interleave"))
-        if raw.get("version") != ARTIFACT_VERSION:
-            raise StageError(f"eval artifact for {a} vs {b} has wrong version")
-        outcomes.append((a, b, PairEvalResult(
-            wins_a=raw["wins_a"], wins_b=raw["wins_b"], ties=raw["ties"],
-            impressions=raw["impressions"],
-        )))
-    report, text = make_report(outcomes)
-    _write_artifact(cfg.path("report.json"),
-                    json.dumps(report, sort_keys=True, separators=(",", ":")),
-                    {"stage": "report"})
+def _outcomes(cfg: ExperimentConfig, store) -> list[tuple[str, str, PairEvalResult]]:
+    out = []
+    for a, b in cfg.comparisons:
+        raw = store[f"eval_{a}_vs_{b}"]
+        out.append((a, b, PairEvalResult(raw["wins_a"], raw["wins_b"], raw["ties"],
+                                         raw["impressions"])))
+    return out
+
+
+def stage_report(cfg: ExperimentConfig, store) -> tuple[dict, str]:
+    report, text = make_report(_outcomes(cfg, store))
+    store.put("report", report)
     return report, text
 
 
@@ -446,7 +413,50 @@ STAGES = {
 
 
 def run_stage(name: str, cfg: ExperimentConfig, **kwargs):
-    """Dispatch one named stage; unknown names raise StageError."""
+    """Run one named stage over the config's working directory; unknown names raise StageError."""
     if name not in STAGES:
         raise StageError(f"unknown stage {name!r}; expected one of {sorted(STAGES)}")
-    return STAGES[name](cfg, **kwargs)
+    return STAGES[name](cfg, DiskStore(cfg), **kwargs)
+
+
+def run_experiment(
+    docs,
+    intents: list[Intent],
+    *,
+    sessions: int = 200,
+    eval_sessions: int = 100,
+    behavior: UserBehavior | None = None,
+    **config,
+) -> ExperimentArtifacts:
+    """Every stage in order over a memory store: index to report.
+
+    Keyword arguments are `ExperimentConfig` fields and take its defaults,
+    except the smaller session counts.  `behavior` sets `noise`,
+    `scan_persistence` and `reformulate_prob`; a UserBehavior field the
+    config does not carry must keep its default, or DataError is raised.
+    """
+    if behavior is not None:
+        config.update(noise=behavior.click_noise, scan_persistence=behavior.scan_persistence,
+                      reformulate_prob=behavior.reformulate_prob)
+    # the inputs are in the store, so the config names no input paths
+    cfg = ExperimentConfig(corpus="", intents="", sessions=sessions,
+                           eval_sessions=eval_sessions, **config)
+    if behavior is not None and behavior != cfg.behavior():
+        raise DataError(f"run_experiment cannot carry {behavior}: only click_noise, "
+                        "scan_persistence and reformulate_prob may differ from the defaults")
+    modes = sorted({m for pair in cfg.comparisons for m in pair} - {"base"})
+    store = MemoryStore(docs=docs, intents=intents)
+    stage_index(cfg, store)
+    stage_simulate(cfg, store)
+    stage_chains(cfg, store)
+    for mode in modes:
+        stage_prefs(cfg, store, mode)
+        stage_train(cfg, store, mode)
+    stage_interleave(cfg, store)
+    report, text = stage_report(cfg, store)
+    return ExperimentArtifacts(
+        corpus=store["index"], log=store["log"], truth=store["truth"], chains=store["chains"],
+        prefs={m: store[f"prefs_{m}"] for m in modes},
+        models={m: store[f"model_{m}"] for m in modes},
+        outcomes=_outcomes(cfg, store), report=report, report_text=text,
+    )

@@ -19,7 +19,7 @@ from .corpus import RankedList
 from .features import RANK_THRESHOLDS
 from .solver import Model
 
-BASE_TOP = 100  # base results beyond this rank are feature-invisible
+BASE_DEPTH = RANK_THRESHOLDS[-1]  # base results beyond this rank are feature-invisible
 
 
 @dataclass
@@ -96,8 +96,6 @@ def score(
     for fn in model.space.base_functions:
         ranking = base_rankings.get(fn)
         rank = ranking.rank_of(doc_id) if ranking is not None else None
-        if rank is not None and rank > BASE_TOP:
-            rank = None
         total += _rank_score(suffixes[fn], rank)
     for term in sorted(set(query_terms)):
         total += model.term_doc_weight(term, doc_id)
@@ -112,7 +110,7 @@ def candidates(
     """Docs that can score nonzero: base top results plus term-weighted docs."""
     out: set[str] = set()
     for ranking in base_rankings.values():
-        out.update(e.doc_id for e in ranking.entries[:BASE_TOP])
+        out.update(e.doc_id for e in ranking.entries[:BASE_DEPTH])
     index = _term_index(model)
     for term in set(query_terms):
         out.update(doc for doc, _ in index.get(term, ()))

@@ -155,19 +155,6 @@ def test_no_self_preference_when_doc_repeats_across_queries():
     assert pair_set(prefs, Strategy.CLICK_TOP_TWO_EARLIER_QUERY) == {("shared", "e2", "qe")}
 
 
-def test_top_two_clicked_variant_flag():
-    e = make_query("qe", "s", 0, ["old"], ["e1", "e2", "e3"])
-    q = make_query("qq", "s", 60, ["new"], ["d1"])
-    chain = chain_of([(e, [make_click(e, 1)]), (q, [make_click(q, 1)])])
-    base = prefs_cross_query(chain)
-    with_variant = prefs_cross_query(chain, top_two_clicked_variant=True)
-    extra = [p for p in with_variant if p not in base]
-    # the variant adds top-two prefs against the clicked earlier query,
-    # excluding its clicked result
-    assert {(p.preferred_doc, p.other_doc) for p in extra} == {("d1", "e2")}
-    assert all(p.strategy is Strategy.CLICK_TOP_TWO_EARLIER_QUERY for p in extra)
-
-
 def test_preference_rejects_self_pair():
     with pytest.raises(DataError):
         Preference("d", "d", "q", Strategy.CLICK_SKIP_ABOVE)

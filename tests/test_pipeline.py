@@ -131,6 +131,24 @@ def test_rerank_stage_injects_learned_docs(cfg):
     assert len(base) == 0  # the misspelling matches nothing in the corpus
 
 
+def test_cli_stages_match_run_experiment(cfg, small_fixture):
+    run_all_stages(cfg)
+    docs, intents = small_fixture
+    art = run_experiment(docs, intents, seed=cfg.seed, sessions=cfg.sessions,
+                         eval_sessions=cfg.eval_sessions, max_iters=cfg.max_iters)
+    assert json.loads(cfg.path("report.json").read_text(encoding="utf-8")) == art.report
+    for mode in ("qc", "nc"):
+        text = cfg.path(f"model_{mode}.json").read_text(encoding="utf-8")
+        assert text == model_to_json(art.models[mode]), mode
+
+
+def test_run_experiment_refuses_behavior_it_cannot_carry(small_fixture):
+    docs, intents = small_fixture
+    with pytest.raises(DataError, match="min_view_top2=False"):
+        run_experiment(docs, intents, sessions=2, eval_sessions=2,
+                       behavior=UserBehavior(min_view_top2=False))
+
+
 def test_report_golden_counts():
     report, text = make_report([
         ("qc", "base", PairEvalResult(wins_a=392, wins_b=239, ties=579, impressions=1210)),
@@ -204,6 +222,17 @@ def test_cli_end_to_end(cfg, capsys):
                      "--query", "sourdough", "--mode", "qc"]) == 0
     out = capsys.readouterr().out
     assert "\t" in out  # doc, score, origin columns
+
+
+def test_cli_rerank_base_mode(cfg, capsys):
+    config_path = str(cfg.config_path)
+    assert cli_main(["index", "--config", config_path]) == 0
+    capsys.readouterr()
+    assert cli_main(["rerank", "--config", config_path,
+                     "--query", "sourdough", "--mode", "base"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert rows
+    assert all(len(row) == 3 and row[2] == "base_results" for row in rows)
 
 
 def test_cli_seed_override_changes_artifacts(cfg):
