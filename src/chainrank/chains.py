@@ -232,6 +232,10 @@ def write_chains(chains: list[QueryChain]) -> str:
 def read_chains(text: str, log: SearchLog) -> list[QueryChain]:
     """Rebuild chains against a log (queries and clicks resolved by qid)."""
     queries = log.queries()
+    clicks_by_qid: dict[str, list[ClickEvent]] = {}
+    for e in log.events:
+        if isinstance(e, ClickEvent):
+            clicks_by_qid.setdefault(e.query_id, []).append(e)
     chains = []
     for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -246,7 +250,7 @@ def read_chains(text: str, log: SearchLog) -> list[QueryChain]:
                 chain_id=rec["chain_id"],
                 session_id=rec["session"],
                 queries=qs,
-                clicks=[log.clicks_for(q.query_id) for q in qs],
+                clicks=[list(clicks_by_qid.get(q.query_id, ())) for q in qs],
             )
         )
     return chains

@@ -62,11 +62,6 @@ class SearchLog:
     def queries(self) -> dict[str, QueryEvent]:
         return {e.query_id: e for e in self.events if isinstance(e, QueryEvent)}
 
-    def clicks_for(self, query_id: str) -> list[ClickEvent]:
-        return [
-            e for e in self.events if isinstance(e, ClickEvent) and e.query_id == query_id
-        ]
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -9,12 +9,16 @@ block).  Each delta_i is the feature-vector difference of a preferred and a
 non-preferred document for the same query, so `w . delta_i >= 1` means the
 preference is satisfied with margin.
 
-The minimizer runs deterministic dual coordinate ascent with a fixed sweep
-order: each preference constraint owns a dual variable in [0, C] and each
-bounded dimension a nonnegative multiplier.  Coordinate steps are exact, so
-small instances solve to machine precision; duplicate constraints are
-aggregated into one dual variable with upper bound (count * C), which leaves
-the objective unchanged.  A plain binary hinge-loss mode (for the query-chain
+The minimizer runs deterministic dual coordinate ascent (Hsieh et al., 2008)
+with a fixed sweep order: each preference constraint owns a dual variable in
+[0, C] and each bounded dimension a nonnegative multiplier.  Coordinate steps
+are exact, so small instances solve to machine precision; duplicate
+constraints are aggregated into one dual variable with upper bound
+(count * C), which leaves the objective unchanged.  The sweep runs over
+native Python lists built once per solve, since each row has only a handful
+of nonzeros; objective, violations and the relative primal-dual gap are then
+computed with numpy, and the gap is recorded as `meta["gap"]` on every
+trained model.  A plain binary hinge-loss mode (for the query-chain
 classifier) reuses the same machinery on label-signed, bias-augmented rows.
 """
 
@@ -34,6 +38,9 @@ DEFAULT_C = 1.0
 DEFAULT_W_MIN = 1.0
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_MAX_ITERS = 10000
+# Unbounded (term/doc) weights below this magnitude are float cancellation,
+# not learned signal, and are returned as exactly 0.0.
+ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,7 @@ class RankingSolution:
     objective: float
     violations: int
     converged: bool
+    gap: float  # relative primal-dual gap (P - D) / max(1, |P|) at return
 
 
 @dataclass
@@ -110,12 +118,17 @@ def slack_report(model_or_w, constraints: list[PreferenceConstraint]) -> SlackRe
 
 
 def _aggregate(constraints: list[PreferenceConstraint], dim: int):
-    """Collapse duplicate deltas into CSR-style arrays with multiplicities."""
+    """Collapse duplicate deltas into CSR-style arrays with multiplicities.
+
+    Zero deltas are dropped with a warning; the last value returned is how many.
+    """
     groups: dict[tuple, int] = {}
     order: list[tuple] = []
+    n_zero = 0
     for c in constraints:
         if not c.delta.ids:
             warnings.warn("dropping constraint with zero delta (identical feature vectors)")
+            n_zero += 1
             continue
         if c.delta.ids[-1] >= dim:
             raise DataError(
@@ -142,6 +155,7 @@ def _aggregate(constraints: list[PreferenceConstraint], dim: int):
         np.array(indices, dtype=np.int64),
         np.array(data, dtype=float),
         np.array(counts, dtype=float),
+        n_zero,
     )
 
 
@@ -163,77 +177,113 @@ def train_ranking(
     """
     if C <= 0:
         raise DataError(f"C must be positive, got {C}")
-    bounded = np.array(sorted(set(bounded_dims)), dtype=np.int64)
+    bounded = sorted(set(bounded_dims))
     if dim is None:
         dim = 0
-        if len(bounded):
-            dim = int(bounded[-1]) + 1
+        if bounded:
+            dim = bounded[-1] + 1
         for c in constraints:
             if c.delta.ids:
                 dim = max(dim, c.delta.ids[-1] + 1)
-    if len(bounded) and bounded[-1] >= dim:
+    if bounded and bounded[-1] >= dim:
         raise DataError("bounded dim outside dimension")
 
-    indptr, indices, data, counts = _aggregate(constraints, dim)
+    indptr, indices, data, counts, n_zero = _aggregate(constraints, dim)
     n = len(counts)
-    ub = counts * C
-    sq = np.array(
-        [float(data[indptr[i]: indptr[i + 1]] @ data[indptr[i]: indptr[i + 1]]) for i in range(n)]
-    )
 
-    w = np.zeros(dim)
-    beta = np.full(len(bounded), w_min, dtype=float)
-    if len(bounded):
-        w[bounded] = w_min  # start at the projection of 0 onto the feasible set
-    alpha = np.zeros(n)
+    # The sweep runs on Python lists: rows hold a handful of nonzeros, too few
+    # for numpy's per-call overhead to pay off.  Each row is
+    # (index, (feature id, value) pairs, upper bound, 1/|d|^2).
+    ids, vals, ptr = indices.tolist(), data.tolist(), indptr.tolist()
+    rows = []
+    for i in range(n):
+        pairs = tuple(zip(ids[ptr[i]: ptr[i + 1]], vals[ptr[i]: ptr[i + 1]]))
+        rows.append((i, pairs, float(counts[i]) * C, 1.0 / sum(v * v for _, v in pairs)))
+    w = [0.0] * dim
+    for d in bounded:
+        w[d] = w_min  # start at the projection of 0 onto the feasible set
+    alpha = [0.0] * n
+    beta = [w_min] * len(bounded)
 
     sweeps = 0
-    converged = n == 0 and not len(bounded)
+    converged = n == 0 and not bounded
     for sweeps in range(1, max_iters + 1):
         max_pg = 0.0
-        for i in range(n):
-            s, e = indptr[i], indptr[i + 1]
-            idx = indices[s:e]
-            row = data[s:e]
-            g = float(row @ w[idx]) - 1.0
+        for i, pairs, ub, inv_sq in rows:
+            g = 0.0
+            for j, v in pairs:
+                g += v * w[j]
+            g -= 1.0
             a = alpha[i]
+            # pg is the projected gradient; where it is zero the step is too
             if a <= 0.0:
-                pg = min(g, 0.0)
-            elif a >= ub[i]:
-                pg = max(g, 0.0)
-            else:
+                if g >= 0.0:
+                    continue
+                pg = -g
+            elif a >= ub:
+                if g <= 0.0:
+                    continue
                 pg = g
-            if pg != 0.0:
-                max_pg = max(max_pg, abs(pg))
-                new_a = min(max(a - g / sq[i], 0.0), ub[i])
-                if new_a != a:
-                    w[idx] += (new_a - a) * row
-                    alpha[i] = new_a
-        for j, d in enumerate(bounded):
+            elif g == 0.0:
+                continue
+            else:
+                pg = abs(g)
+            if pg > max_pg:
+                max_pg = pg
+            new_a = a - g * inv_sq
+            if new_a < 0.0:
+                new_a = 0.0
+            elif new_a > ub:
+                new_a = ub
+            if new_a != a:
+                step = new_a - a
+                for j, v in pairs:
+                    w[j] += step * v
+                alpha[i] = new_a
+        for k, d in enumerate(bounded):
+            b = beta[k]
             g = w[d] - w_min
-            pg = min(g, 0.0) if beta[j] <= 0.0 else g
+            pg = min(g, 0.0) if b <= 0.0 else g
             max_pg = max(max_pg, abs(pg))
-            new_b = max(0.0, beta[j] - g)
-            if new_b != beta[j]:
-                w[d] += new_b - beta[j]
-                beta[j] = new_b
+            new_b = max(0.0, b - g)
+            if new_b != b:
+                w[d] += new_b - b
+                beta[k] = new_b
         if max_pg < tolerance:
             converged = True
             break
 
-    if len(bounded):
+    w = np.array(w, dtype=float)
+    free = np.ones(dim, dtype=bool)
+    if bounded:
         w[bounded] = np.maximum(w[bounded], w_min)  # exact feasibility, no-op at optimum
+        free[bounded] = False
+    w[free & (np.abs(w) < ROUNDOFF)] = 0.0
     if not converged:
         warnings.warn(
             f"ranking solver hit max_iters={max_iters} before reaching tolerance {tolerance}"
         )
-    rep = slack_report(w, constraints)
+
+    # Objective, violations and duality gap over the aggregated rows.  Each
+    # dropped zero-delta constraint still costs hinge 1 and one violation.
+    # P = 0.5|w|^2 + C sum count_i hinge_i;  D = sum alpha + w_min sum beta
+    # - 0.5|D^T alpha + beta|^2, with beta placed on the bounded dims.
+    row_of = np.repeat(np.arange(n), np.diff(indptr))
+    margins = np.bincount(row_of, weights=data * w[indices], minlength=n)
+    hinge = np.maximum(0.0, 1.0 - margins)
+    primal = 0.5 * float(w @ w) + C * float(counts @ hinge)
+    alpha_v = np.array(alpha, dtype=float)
+    beta_v = np.array(beta, dtype=float)
+    v = np.bincount(indices, weights=data * alpha_v[row_of], minlength=dim).astype(float)
+    v[bounded] += beta_v
+    dual = float(alpha_v.sum()) + w_min * float(beta_v.sum()) - 0.5 * float(v @ v)
     return RankingSolution(
         weights=w,
         iterations=sweeps,
-        objective=objective(w, constraints, C),
-        violations=rep.violations,
+        objective=primal + C * n_zero,
+        violations=int(counts[hinge >= 1.0].sum()) + n_zero,
         converged=converged,
+        gap=(primal - dual) / max(1.0, abs(primal)),
     )
 
 
@@ -285,7 +335,7 @@ def train_binary(
         bias=float(sol.weights[-1]),
         degenerate=False,
         meta={"converged": sol.converged, "iterations": sol.iterations,
-              "objective": sol.objective},
+              "objective": sol.objective, "gap": sol.gap},
     )
 
 
@@ -351,6 +401,7 @@ def fit_model(
         "objective": sol.objective,
         "violations": sol.violations,
         "converged": sol.converged,
+        "gap": sol.gap,
         "n_constraints": len(constraints),
     }
     return Model(space=space, weights=sol.weights, C=C, w_min=w_min, meta=meta)

@@ -243,3 +243,25 @@ def test_chain_round_trip_jsonl():
     assert back[0].clicks[0][0].doc_id == "d1"
     with pytest.raises(DataError, match="unknown query"):
         read_chains(text.replace("q0", "zz"), log)
+
+
+def test_read_chains_round_trips_simulated_log_with_clicks():
+    from chainrank.corpus import base_retrieve, build_index
+    from chainrank.fixtures import make_fixture
+    from chainrank.simulate import UserBehavior, simulate
+
+    docs, intents = make_fixture(300, 3)
+    corpus = build_index(docs)
+    log, _ = simulate(
+        corpus, lambda terms, k: base_retrieve(corpus, terms, k),
+        intents, UserBehavior(click_noise=0.1), n_sessions=25, seed=4,
+        multi_intent_prob=0.5, intent_gap=(60, 3600),
+    )
+    chains = segment_log(log)
+    assert len({c.session_id for c in chains}) == 25 and len(chains) > 25
+    assert sum(len(cs) for c in chains for cs in c.clicks) > 0
+    back = read_chains(write_chains(chains), log)
+    assert back == chains
+    # every query gets its own clicks list, as from segmentation
+    lists = [cs for c in back for cs in c.clicks]
+    assert len({id(cs) for cs in lists}) == len(lists)

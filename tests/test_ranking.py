@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainrank.corpus import Document, RankedList, RankEntry, base_retrieve, build_index
-from chainrank.features import FeatureSpace
+from chainrank.features import FeatureSpace, SparseVector
 from chainrank.ranking import RerankRequest, candidates, rerank, score
-from chainrank.solver import Model, fresh_model
+from chainrank.solver import Model, PreferenceConstraint, fit_model, fresh_model
 
 
 def ranked(docs, query_id="q"):
@@ -147,3 +147,20 @@ def test_rerank_k_validation():
     model = model_with_terms({})
     with pytest.raises(ValueError):
         RerankRequest(["t"], {"base": ranked([])}, model, k=0)
+
+
+def test_cancelled_term_weight_is_exact_zero_and_injects_nothing():
+    # ("t", "new") enters one constraint with +1 and the other with -1; the
+    # sweep's float updates leave a ~1e-16 residue there unless it is zeroed
+    space = FeatureSpace(("base",))
+    new, x, y = (space.term_doc_id(t, d) for t, d in (("t", "new"), ("u", "x"), ("v", "y")))
+    a = {i: -1.0 for i in range(18)} | {new: 1.0, x: 1.0}
+    b = {i: -1.0 for i in range(6)} | {new: -1.0, y: 1.0}
+    cons = [PreferenceConstraint(SparseVector.from_items(d)) for d in (a, b)]
+    model = fit_model(space, cons, C=1.0, w_min=1.0)
+    assert model.term_doc_weight("t", "new") == 0.0
+    assert model.term_doc_weight("u", "x") != 0.0
+    base = {"base": ranked(["d1", "d2"])}
+    assert "new" not in candidates(["t"], base, model)
+    out = rerank(RerankRequest(["t"], base, model, k=10))
+    assert [e.origin for e in out.entries] == ["base_results", "base_results"]

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from chainrank.errors import DataError
 from chainrank.features import FeatureSpace, SparseVector, phi
 from chainrank.solver import (
+    DEFAULT_MAX_ITERS,
     BinaryModel,
     Model,
     PreferenceConstraint,
@@ -304,3 +307,58 @@ def test_fresh_model_uniform():
     space = FeatureSpace(("base",))
     model = fresh_model(space, w_min=1.0)
     assert model.weights[:28].tolist() == [1.0] * 28
+
+
+def repeated_instance(rng):
+    """`random_instance` plus duplicated and zero-delta constraints, shuffled."""
+    cons, C, w_min, bounded, dim = random_instance(rng)
+    cons = cons + [cons[int(rng.integers(len(cons)))] for _ in range(int(rng.integers(0, 4)))]
+    cons = cons + [PreferenceConstraint(sv({}))] * int(rng.integers(0, 3))
+    return [cons[i] for i in rng.permutation(len(cons))], C, w_min, bounded, dim
+
+
+def test_solution_objective_and_violations_match_evaluators():
+    rng = np.random.default_rng(8)
+    seen = set()
+    for _ in range(60):
+        cons, C, w_min, bounded, dim = repeated_instance(rng)
+        max_iters = int(rng.choice([1, 3, DEFAULT_MAX_ITERS]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sol = train_ranking(cons, C=C, w_min=w_min, bounded_dims=bounded, dim=dim,
+                                max_iters=max_iters)
+        assert sol.objective == pytest.approx(objective(sol.weights, cons, C), rel=1e-9)
+        assert sol.violations == slack_report(sol.weights, cons).violations
+        seen.add(("bounded" if bounded else "free",
+                  any(not c.delta.ids for c in cons),
+                  len({c.delta for c in cons}) < len(cons)))
+    assert {b for b, _, _ in seen} == {"bounded", "free"}
+    assert {z for _, z, _ in seen} == {True, False}
+    assert any(dup for _, _, dup in seen)
+
+
+def test_duality_gap_certifies_convergence():
+    rng = np.random.default_rng(13)
+    compared = 0
+    for _ in range(30):
+        cons, C, w_min, bounded, dim = random_instance(rng)
+        sol = train_ranking(cons, C=C, w_min=w_min, bounded_dims=bounded, dim=dim)
+        assert sol.converged
+        assert -1e-12 <= sol.gap < 1e-6
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            early = train_ranking(cons, C=C, w_min=w_min, bounded_dims=bounded, dim=dim,
+                                  max_iters=1)
+        assert early.gap >= -1e-12
+        if sol.iterations > 2:  # sweep 2 still moved, so sweep 1 stopped short
+            assert early.gap > sol.gap
+            compared += 1
+    assert compared >= 20
+
+
+def test_fit_model_and_train_binary_record_gap():
+    model = _small_model()
+    assert -1e-12 <= model.meta["gap"] < 1e-6
+    X = np.array([[-2.0, 0.5], [2.0, 0.1], [1.0, -1.0], [-0.5, 0.3]])
+    binary = train_binary(X, np.array([-1.0, 1.0, 1.0, -1.0]), C=1.0)
+    assert -1e-12 <= binary.meta["gap"] < 1e-6
