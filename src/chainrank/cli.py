@@ -29,6 +29,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chainrank", description=__doc__)
     sub = parser.add_subparsers(dest="stage", required=True)
@@ -53,7 +63,7 @@ def _build_parser() -> _Parser:
     p = add("rerank", help="rank a query with a trained model")
     p.add_argument("--query", required=True)
     p.add_argument("--mode", choices=["qc", "nc", "base"], default="qc")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_positive_int, help="number of results (at least 1)")
     p = add("interleave", help="run interleaved evaluation")
     p.add_argument("--pair", help="e.g. qc,base (default: all configured comparisons)")
     add("report", help="summarize interleaved evaluations")

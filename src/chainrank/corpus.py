@@ -20,6 +20,7 @@ from pathlib import Path
 from .errors import DataError
 
 INDEX_VERSION = 1
+_DOCUMENT_FIELDS = {"doc_id", "title", "body"}
 DEFAULT_K = 100
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -84,12 +85,6 @@ class RankedList:
 
     def doc_ids(self) -> list[str]:
         return [e.doc_id for e in self.entries]
-
-    def rank_of(self, doc_id: str) -> int | None:
-        for e in self.entries:
-            if e.doc_id == doc_id:
-                return e.rank
-        return None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -201,15 +196,30 @@ def index_to_json(corpus: Corpus) -> str:
 
 
 def index_from_json(text: str) -> Corpus:
+    """Parse an index artifact; malformed text or records raise DataError."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DataError(f"corrupt index: {exc}") from exc
+        raise DataError(f"corrupt index artifact: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError("corrupt index artifact: not a JSON object")
     if payload.get("version") != INDEX_VERSION:
         raise DataError(
             f"index version mismatch: expected {INDEX_VERSION}, got {payload.get('version')}"
         )
-    return build_index([Document(**d) for d in payload["documents"]])
+    records = payload.get("documents")
+    if not isinstance(records, list):
+        raise DataError("malformed index artifact: 'documents' must be a list")
+    docs = []
+    for i, rec in enumerate(records):
+        if (not isinstance(rec, dict) or set(rec) != _DOCUMENT_FIELDS
+                or not all(isinstance(v, str) for v in rec.values())):
+            raise DataError(
+                f"malformed index artifact: document {i} must have exactly the string "
+                f"fields {sorted(_DOCUMENT_FIELDS)}"
+            )
+        docs.append(Document(**rec))
+    return build_index(docs)
 
 
 def save_index(corpus: Corpus, path: str | Path) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
@@ -26,7 +27,7 @@ import numpy as np
 from .chains import DEFAULT_WINDOW_SECONDS, read_chains, segment_log, write_chains
 from .corpus import Corpus, base_retrieve, build_index, index_from_json, index_to_json, load_documents, tokenize
 from .errors import DataError, StageError
-from .features import FeatureSpace, phi
+from .features import N_RANK_FEATURES, RANK_THRESHOLDS, FeatureSpace, SparseVector
 from .feedback import Preference, prefs_for_log, read_preferences, strategy_counts, write_preferences
 from .interleave import sign_test
 from .logs import SearchLog, parse_log, write_log
@@ -245,22 +246,38 @@ def model_ranker(corpus: Corpus, model: Model):
 def build_constraints(
     prefs: list[Preference], searchlog: SearchLog, space: FeatureSpace
 ) -> list[PreferenceConstraint]:
-    """Turn preferences into feature-difference constraints over a log's rankings."""
+    """Turn preferences into feature-difference constraints over a log's rankings.
+
+    Each delta equals `phi(preferred) - phi(other)`, written directly: the
+    rank block is a +-1 run between the two documents' first firing
+    thresholds (an absent document fires none), then the term/document ids,
+    the preferred document's grown first, merged by id.
+    """
     queries = searchlog.queries()
-    ranks_cache: dict[str, dict[str, int]] = {}
-    fn = space.base_functions[0]
+    per_query: dict[str, tuple[dict[str, int], list[str]]] = {}
+    off = space.rank_offset(space.base_functions[0])
     constraints = []
     for p in prefs:
-        q = queries.get(p.wrt_query)
-        if q is None:
-            raise DataError(f"preference references unknown query {p.wrt_query}")
-        ranks = ranks_cache.get(p.wrt_query)
-        if ranks is None:
-            ranks = {doc: i + 1 for i, doc in enumerate(q.result_docs())}
-            ranks_cache[p.wrt_query] = ranks
-        phi_pref = phi(space, p.preferred_doc, q.terms, {fn: ranks.get(p.preferred_doc)})
-        phi_other = phi(space, p.other_doc, q.terms, {fn: ranks.get(p.other_doc)})
-        constraints.append(PreferenceConstraint(phi_pref - phi_other))
+        cached = per_query.get(p.wrt_query)
+        if cached is None:
+            q = queries.get(p.wrt_query)
+            if q is None:
+                raise DataError(f"preference references unknown query {p.wrt_query}")
+            # doc -> index of the first threshold at or above its rank
+            first = {doc: bisect_left(RANK_THRESHOLDS, i + 1)
+                     for i, doc in enumerate(q.result_docs())}
+            cached = per_query[p.wrt_query] = (first, sorted(set(q.terms)))
+        first, terms = cached
+        a = first.get(p.preferred_doc, N_RANK_FEATURES)
+        b = first.get(p.other_doc, N_RANK_FEATURES)
+        ids = list(range(off + min(a, b), off + max(a, b)))
+        values = [1.0 if a < b else -1.0] * len(ids)
+        term_items = [(space.term_doc_id(t, p.preferred_doc), 1.0) for t in terms]
+        term_items += [(space.term_doc_id(t, p.other_doc), -1.0) for t in terms]
+        for fid, v in sorted(item for item in term_items if item[0] is not None):
+            ids.append(fid)
+            values.append(v)
+        constraints.append(PreferenceConstraint(SparseVector(tuple(ids), tuple(values))))
     return constraints
 
 

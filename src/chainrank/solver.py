@@ -435,26 +435,30 @@ def model_to_json(model: Model) -> str:
 
 
 def model_from_json(text: str) -> Model:
-    payload = json.loads(text)
+    """Parse a model artifact; malformed text or fields raise DataError."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"corrupt model artifact: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError("corrupt model artifact: not a JSON object")
     if payload.get("version") != MODEL_VERSION:
         raise DataError(
             f"model version mismatch: expected {MODEL_VERSION}, got {payload.get('version')}"
         )
-    space = FeatureSpace(tuple(payload["base_functions"]))
-    weights = []
-    for fn in space.base_functions:
-        weights.extend(payload["rank_weights"][fn])
-    for rec in payload["term_doc_weights"]:
-        space.term_doc_id(rec["term"], rec["doc"])
-        weights.append(rec["w"])
-    space.freeze()
-    return Model(
-        space=space,
-        weights=np.array(weights, dtype=float),
-        C=float(payload["C"]),
-        w_min=float(payload["w_min"]),
-        meta=payload["meta"],
-    )
+    try:
+        space = FeatureSpace(tuple(payload["base_functions"]))
+        weights = []
+        for fn in space.base_functions:
+            weights.extend(payload["rank_weights"][fn])
+        for rec in payload["term_doc_weights"]:
+            space.term_doc_id(rec["term"], rec["doc"])
+            weights.append(rec["w"])
+        space.freeze()
+        return Model(space=space, weights=np.array(weights, dtype=float),
+                     C=float(payload["C"]), w_min=float(payload["w_min"]), meta=payload["meta"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed model artifact: {type(exc).__name__} {exc}") from exc
 
 
 def save_model(model: Model, path: str | Path) -> None:

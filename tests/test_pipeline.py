@@ -1,18 +1,26 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from chainrank.chains import DEFAULT_WINDOW_SECONDS, segment_log
 from chainrank.cli import main as cli_main
+from chainrank.corpus import build_index
 from chainrank.errors import DataError, StageError
+from chainrank.features import FeatureSpace, phi
+from chainrank.feedback import prefs_for_log
 from chainrank.fixtures import documents_to_jsonl, make_fixture
 from chainrank.pipeline import (
+    BASE_FN,
     ExperimentConfig,
+    base_ranker,
+    build_constraints,
     make_report,
     run_experiment,
     run_stage,
 )
-from chainrank.simulate import PairEvalResult, UserBehavior, write_intents
+from chainrank.simulate import PairEvalResult, UserBehavior, simulate, write_intents
 from chainrank.solver import model_to_json
 
 
@@ -250,3 +258,91 @@ def test_cli_log_verbosity_env(cfg, monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="chainrank.pipeline"):
         assert cli_main(["index", "--config", str(cfg.config_path)]) == 0
     assert any("indexed" in r.message for r in caplog.records)
+
+
+@pytest.fixture(scope="module")
+def trained_workdir(tmp_path_factory, small_fixture):
+    """Config path and workdir after index, simulate, chains, prefs and train (qc)."""
+    docs, intents = small_fixture
+    root = tmp_path_factory.mktemp("trained")
+    (root / "corpus.jsonl").write_text(documents_to_jsonl(docs), encoding="utf-8")
+    (root / "intents.json").write_text(write_intents(intents), encoding="utf-8")
+    cfg_path = root / "experiment.json"
+    cfg_path.write_text(json.dumps({
+        "corpus": str(root / "corpus.jsonl"), "intents": str(root / "intents.json"),
+        "workdir": str(root / "out"), "seed": 11, "sessions": 80, "max_iters": 3000,
+    }))
+    cfg = ExperimentConfig.from_file(cfg_path)
+    for stage in ("index", "simulate", "chains", "prefs", "train"):
+        run_stage(stage, cfg)
+    return cfg_path, root / "out"
+
+
+def _drop_term_doc_weights(text):
+    payload = json.loads(text)
+    del payload["term_doc_weights"]
+    return json.dumps(payload)
+
+
+def _drop_first_title(text):
+    payload = json.loads(text)
+    del payload["documents"][0]["title"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("artifact, corrupt, named", [
+    ("model_qc.json", lambda text: text[: len(text) // 2], "model artifact"),
+    ("model_qc.json", _drop_term_doc_weights, "model artifact"),
+    ("index.json", _drop_first_title, "index artifact"),
+], ids=["truncated-model", "model-without-term-weights", "index-record-without-title"])
+def test_cli_malformed_artifact_is_data_error(trained_workdir, tmp_path, capsys, artifact,
+                                              corrupt, named):
+    cfg_path, workdir = trained_workdir
+    shutil.copytree(workdir, tmp_path / "out")
+    path = tmp_path / "out" / artifact
+    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    code = cli_main(["rerank", "--config", str(cfg_path), "--workdir", str(tmp_path / "out"),
+                     "--query", "sourdough", "--mode", "qc"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert named in err
+
+
+def test_cli_rerank_rejects_k_below_one(trained_workdir, capsys):
+    cfg_path, _ = trained_workdir
+    capsys.readouterr()
+    for k in ("0", "-3"):
+        assert cli_main(["rerank", "--config", str(cfg_path), "--query", "sourdough",
+                         "--k", k]) == 1
+        err = capsys.readouterr().err
+        assert "--k" in err and "Traceback" not in err
+
+
+def test_build_constraints_match_phi_oracle(small_fixture):
+    docs, intents = small_fixture
+    corpus = build_index(docs)
+    searchlog, _ = simulate(corpus, base_ranker(corpus), intents,
+                            UserBehavior(click_noise=0.1), 60, 5)
+    chain_list = segment_log(searchlog, DEFAULT_WINDOW_SECONDS)
+    queries = searchlog.queries()
+    for mode in ("qc", "nc"):
+        prefs = prefs_for_log(searchlog, chain_list, mode, corpus.doc_ids(), 6)
+        assert prefs
+        space, oracle_space = FeatureSpace((BASE_FN,)), FeatureSpace((BASE_FN,))
+        constraints = build_constraints(prefs, searchlog, space)
+        assert len(constraints) == len(prefs)
+        for p, c in zip(prefs, constraints):
+            q = queries[p.wrt_query]
+            ranks = q.result_docs()
+
+            def rank(doc):
+                return ranks.index(doc) + 1 if doc in ranks else None
+
+            expected = (
+                phi(oracle_space, p.preferred_doc, q.terms, {BASE_FN: rank(p.preferred_doc)})
+                - phi(oracle_space, p.other_doc, q.terms, {BASE_FN: rank(p.other_doc)})
+            )
+            assert c.delta == expected
+        assert space.term_doc_pairs() == oracle_space.term_doc_pairs()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainrank.corpus import Document, RankedList, RankEntry, base_retrieve, build_index
-from chainrank.features import FeatureSpace, SparseVector
+from chainrank.features import FeatureSpace, SparseVector, phi
 from chainrank.ranking import RerankRequest, candidates, rerank, score
 from chainrank.solver import Model, PreferenceConstraint, fit_model, fresh_model
 
@@ -164,3 +164,73 @@ def test_cancelled_term_weight_is_exact_zero_and_injects_nothing():
     assert "new" not in candidates(["t"], base, model)
     out = rerank(RerankRequest(["t"], base, model, k=10))
     assert [e.origin for e in out.entries] == ["base_results", "base_results"]
+
+
+@st.composite
+def rerank_worlds(draw):
+    """A small model with dyadic weights, base rankings and a query.
+
+    Every weight is a multiple of 1/8 of modest size, so every sum of them is
+    exact and any summation order gives the same float.  Pools of 104 docs
+    rank some documents beyond the deepest rank threshold, and term weights
+    favour those, so deep base documents also enter by term association.
+    """
+    fns = draw(st.sampled_from([("base",), ("base", "alt")]))
+    pool = [f"d{i:03d}" for i in range(draw(st.sampled_from([8, 104])))]
+    base = {}
+    for name in sorted(draw(st.sets(st.sampled_from(fns + ("extra",)), min_size=1))):
+        order = draw(st.permutations(pool))
+        depth = draw(st.one_of(st.integers(0, len(pool)), st.integers(len(pool) - 6, len(pool))))
+        base[name] = ranked(order[:depth], query_id="q")
+    deep = sorted({d for ranking in base.values() for d in ranking.doc_ids()[96:]})
+    terms = ["t0", "t1", "t2"]
+    term_docs = deep + pool[:8] + ["x0", "x1"]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(terms), st.sampled_from(term_docs)),
+                          unique=True, max_size=12))
+    space = FeatureSpace(fns)
+    for term, doc in pairs:
+        space.term_doc_id(term, doc)
+    space.freeze()
+    w_min = draw(st.integers(0, 8)) / 8
+    eighths = st.integers(-24, 24).map(lambda n: n / 8)
+    w = np.array(
+        [w_min + draw(st.integers(0, 8)) / 8 for _ in range(space.n_rank_dims)]
+        + [draw(eighths) for _ in pairs]
+    )
+    model = Model(space=space, weights=w, C=1.0, w_min=w_min, meta={})
+    query_terms = draw(st.lists(st.sampled_from(terms + ["t9"]), max_size=4))
+    k = draw(st.one_of(st.integers(1, 15), st.just(250)))  # 250 returns every candidate
+    return model, base, query_terms, k
+
+
+def dense_phi(model, doc, query_terms, base):
+    """Dense feature vector of one document through the training featurizer."""
+    ranks = {
+        name: ranking.doc_ids().index(doc) + 1 if doc in ranking.doc_ids() else None
+        for name, ranking in base.items()
+    }
+    vec = phi(model.space, doc, query_terms, ranks)
+    out = np.zeros(model.space.dim)
+    out[list(vec.ids)] = vec.values
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(world=rerank_worlds())
+def test_rerank_matches_dense_oracle(world):
+    model, base, query_terms, k = world
+    out = rerank(RerankRequest(query_terms, base, model, k))
+
+    def best_rank(doc):
+        ranks = [r.doc_ids().index(doc) + 1 for r in base.values() if doc in r.doc_ids()]
+        return min(ranks, default=float("inf"))
+
+    oracle = {d: float(model.weights @ dense_phi(model, d, query_terms, base))
+              for d in candidates(query_terms, base, model)}
+    expected = sorted(oracle, key=lambda d: (-oracle[d], best_rank(d), d))[:k]
+    assert out.doc_ids() == expected
+    for e in out.entries:
+        assert e.score == oracle[e.doc_id]
+        assert e.score == score(e.doc_id, query_terms, base, model)
+        in_base = best_rank(e.doc_id) != float("inf")
+        assert e.origin == ("base_results" if in_base else "term_association")
