@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import tokenize
-from .errors import DataError
+from .errors import DataError, json_lines, string, strings
 from .logs import ClickEvent, Event, QueryEvent, SearchLog
 from .solver import BinaryModel
 
@@ -85,9 +85,7 @@ class ChainPairFeatures:
 
 
 def segment_heuristic(
-    session_events: list[Event],
-    window_seconds: int = DEFAULT_WINDOW_SECONDS,
-    session_id: str | None = None,
+    session_events: list[Event], window_seconds: int = DEFAULT_WINDOW_SECONDS
 ) -> list[QueryChain]:
     """Split one session's event stream into chains at query gaps > window.
 
@@ -104,7 +102,7 @@ def segment_heuristic(
             clicks_by_qid.setdefault(e.query_id, []).append(e)
     if not queries:
         return []
-    sid = session_id if session_id is not None else queries[0].session_id
+    sid = queries[0].session_id
 
     chains: list[QueryChain] = []
     current: list[QueryEvent] = [queries[0]]
@@ -134,7 +132,7 @@ def segment_log(log: SearchLog, window_seconds: int = DEFAULT_WINDOW_SECONDS) ->
     groups = group_sessions(log)
     chains: list[QueryChain] = []
     for sid in sorted(groups):
-        chains.extend(segment_heuristic(groups[sid], window_seconds, sid))
+        chains.extend(segment_heuristic(groups[sid], window_seconds))
     return chains
 
 
@@ -236,21 +234,18 @@ def read_chains(text: str, log: SearchLog) -> list[QueryChain]:
     for e in log.events:
         if isinstance(e, ClickEvent):
             clicks_by_qid.setdefault(e.query_id, []).append(e)
-    chains = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        try:
-            qs = [queries[qid] for qid in rec["qids"]]
-        except KeyError as exc:
-            raise DataError(f"chains line {i}: unknown query id {exc}") from exc
-        chains.append(
-            QueryChain(
-                chain_id=rec["chain_id"],
-                session_id=rec["session"],
-                queries=qs,
-                clicks=[list(clicks_by_qid.get(q.query_id, ())) for q in qs],
-            )
+
+    def record(rec: dict) -> QueryChain:
+        qids = strings(rec["qids"])
+        for qid in qids:
+            if qid not in queries:
+                raise DataError(f"unknown query id {qid!r}")
+        qs = [queries[qid] for qid in qids]
+        return QueryChain(
+            chain_id=string(rec["chain_id"]),
+            session_id=string(rec["session"]),
+            queries=qs,
+            clicks=[list(clicks_by_qid.get(q.query_id, ())) for q in qs],
         )
-    return chains
+
+    return json_lines(text, record)

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .errors import ChainrankError
-from .pipeline import ExperimentConfig, run_stage
+from .pipeline import SIDES, ExperimentConfig, is_comparison, run_stage
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -37,6 +37,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _pair(text: str) -> tuple[str, ...]:
+    pair = tuple(text.split(","))
+    if not is_comparison(pair):
+        raise argparse.ArgumentTypeError(f"need two different sides of {'/'.join(SIDES)}: {text!r}")
+    return pair
 
 
 def _build_parser() -> _Parser:
@@ -65,7 +72,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["qc", "nc", "base"], default="qc")
     p.add_argument("--k", type=_positive_int, help="number of results (at least 1)")
     p = add("interleave", help="run interleaved evaluation")
-    p.add_argument("--pair", help="e.g. qc,base (default: all configured comparisons)")
+    p.add_argument("--pair", type=_pair,
+                   help="e.g. qc,base (default: all configured comparisons)")
     add("report", help="summarize interleaved evaluations")
     return parser
 
@@ -94,10 +102,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.stage in ("prefs", "train"):
             run_stage(args.stage, cfg, mode=args.mode)
         elif args.stage == "interleave":
-            pair = tuple(args.pair.split(",")) if args.pair else None
-            if pair is not None and len(pair) != 2:
-                parser.error("--pair must look like qc,base")
-            run_stage("interleave", cfg, pair=pair)
+            run_stage("interleave", cfg, pair=args.pair)
         elif args.stage == "report":
             report, text = run_stage("report", cfg)
             print(text)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, json_lines, json_object, malformed, string
 
 INDEX_VERSION = 1
 _DOCUMENT_FIELDS = {"doc_id", "title", "body"}
@@ -76,12 +76,6 @@ class RankedList:
             if e.doc_id in seen:
                 raise DataError(f"duplicate doc_id in ranking: {e.doc_id}")
             seen.add(e.doc_id)
-
-    @classmethod
-    def from_scored(cls, query_id: str, scored: list[tuple[str, float]]) -> "RankedList":
-        """Build from (doc_id, score) pairs, sorting by score desc then doc_id asc."""
-        ordered = sorted(scored, key=lambda p: (-p[1], p[0]))
-        return cls(query_id, [RankEntry(d, s, i + 1) for i, (d, s) in enumerate(ordered)])
 
     def doc_ids(self) -> list[str]:
         return [e.doc_id for e in self.entries]
@@ -156,9 +150,7 @@ def build_index(documents: list[Document]) -> Corpus:
     return Corpus(documents)
 
 
-def base_retrieve(
-    corpus: Corpus, query_terms: list[str], k: int = DEFAULT_K, query_id: str = ""
-) -> RankedList:
+def base_retrieve(corpus: Corpus, query_terms: list[str], k: int = DEFAULT_K) -> RankedList:
     """Rank documents containing at least one query term by the tf-idf baseline.
 
     Empty queries and queries matching nothing yield an empty list. Ties
@@ -177,10 +169,7 @@ def base_retrieve(
             scores[doc_id] = scores.get(doc_id, 0.0) + q_w * corpus.doc_weight(term, doc_id)
     scored = [(d, s / corpus.doc_norm(d)) for d, s in sorted(scores.items())]
     scored.sort(key=lambda p: (-p[1], p[0]))
-    return RankedList(
-        query_id,
-        [RankEntry(d, s, i + 1) for i, (d, s) in enumerate(scored[:k])],
-    )
+    return RankedList("", [RankEntry(d, s, i + 1) for i, (d, s) in enumerate(scored[:k])])
 
 
 def index_to_json(corpus: Corpus) -> str:
@@ -195,30 +184,21 @@ def index_to_json(corpus: Corpus) -> str:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
+def _document(rec: dict) -> Document:
+    """A document from a record's string doc_id, title and body."""
+    return Document(string(rec["doc_id"]), string(rec["title"]), string(rec["body"]))
+
+
 def index_from_json(text: str) -> Corpus:
     """Parse an index artifact; malformed text or records raise DataError."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"corrupt index artifact: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError("corrupt index artifact: not a JSON object")
-    if payload.get("version") != INDEX_VERSION:
-        raise DataError(
-            f"index version mismatch: expected {INDEX_VERSION}, got {payload.get('version')}"
-        )
-    records = payload.get("documents")
-    if not isinstance(records, list):
-        raise DataError("malformed index artifact: 'documents' must be a list")
-    docs = []
-    for i, rec in enumerate(records):
-        if (not isinstance(rec, dict) or set(rec) != _DOCUMENT_FIELDS
-                or not all(isinstance(v, str) for v in rec.values())):
-            raise DataError(
-                f"malformed index artifact: document {i} must have exactly the string "
-                f"fields {sorted(_DOCUMENT_FIELDS)}"
-            )
-        docs.append(Document(**rec))
+    payload = json_object(text, "index artifact", INDEX_VERSION)
+    with malformed("index artifact"):
+        docs = []
+        for i, rec in enumerate(payload["documents"]):
+            if not isinstance(rec, dict) or set(rec) != _DOCUMENT_FIELDS:
+                raise DataError(f"malformed index artifact: document {i} must have exactly "
+                                f"the fields {sorted(_DOCUMENT_FIELDS)}")
+            docs.append(_document(rec))
     return build_index(docs)
 
 
@@ -238,22 +218,11 @@ def load_documents(path: str | Path) -> list[Document]:
     one {"doc_id","title","body"} object per line.
     """
     path = Path(path)
-    docs: list[Document] = []
-    if path.is_dir():
-        for p in sorted(path.iterdir()):
-            if not p.is_file():
-                continue
-            text = p.read_text(encoding="utf-8")
-            first, _, rest = text.partition("\n")
+    if not path.is_dir():
+        return json_lines(path.read_text(encoding="utf-8"), _document, source=str(path))
+    docs = []
+    for p in sorted(path.iterdir()):
+        if p.is_file():
+            first, _, rest = p.read_text(encoding="utf-8").partition("\n")
             docs.append(Document(p.stem, first.strip(), rest.strip()))
-    else:
-        with path.open(encoding="utf-8") as fh:
-            for i, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    docs.append(Document(rec["doc_id"], rec["title"], rec["body"]))
-                except (json.JSONDecodeError, KeyError) as exc:
-                    raise DataError(f"{path}:{i}: bad document record: {exc}") from exc
     return docs

@@ -1,4 +1,22 @@
-"""Exception types shared across the toolkit."""
+"""Exception types, and the one way JSON artifacts and inputs are read.
+
+Readers parse through `json_object` (one object per file) or `json_lines`
+(one object per line) and read fields inside `malformed`, so bad input
+always ends as a DataError (CLI exit 2), never as a raw KeyError or
+TypeError.
+"""
+
+from __future__ import annotations
+
+import json
+from contextlib import contextmanager
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_not_json)  # NaN and Infinity are refused
 
 
 class ChainrankError(Exception):
@@ -10,12 +28,75 @@ class DataError(ChainrankError):
 
 
 class LogParseError(DataError):
-    """A log line could not be parsed; carries the 1-based line number."""
+    """A JSON-lines record could not be parsed; carries the 1-based line number."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int, message: str, source: str = ""):
+        super().__init__(f"{source}:{line_no}: {message}" if source else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
 class StageError(ChainrankError):
     """A pipeline stage cannot run (missing upstream artifact, version mismatch)."""
+
+
+def json_object(text: str, what: str, version: int | None = None) -> dict:
+    """Parse a JSON object, with this "version" if one is given; else DataError."""
+    try:
+        value = _DECODER.decode(text)
+    except ValueError as exc:
+        raise DataError(f"corrupt {what}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise DataError(f"corrupt {what}: not a JSON object")
+    if version is not None and value.get("version") != version:
+        raise DataError(f"{what} version mismatch: expected {version}, got {value.get('version')}")
+    return value
+
+
+def json_lines(text: str, parse_record, source: str = "") -> list:
+    """`parse_record` of each non-blank line's object, in order.
+
+    Invalid JSON, a line that is not an object, and a KeyError, TypeError,
+    ValueError or DataError from `parse_record` raise LogParseError naming
+    the line (`source:line` when a source is given).
+    """
+    out = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = _DECODER.decode(line)
+            if not isinstance(rec, dict):
+                raise DataError("not a JSON object")
+            out.append(parse_record(rec))
+        except json.JSONDecodeError as exc:
+            raise LogParseError(line_no, f"invalid JSON at col {exc.colno}: {exc.msg}",
+                                source) from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LogParseError(line_no, f"bad record: {type(exc).__name__} {exc}",
+                                source) from exc
+        except DataError as exc:
+            raise LogParseError(line_no, str(exc), source) from exc
+    return out
+
+
+@contextmanager
+def malformed(what: str):
+    """Turn a missing field or a wrong type or value inside `what` into DataError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {what}: {type(exc).__name__} {exc}") from exc
+
+
+def string(value) -> str:
+    """`value` itself if it is a string; a TypeError (a field error) otherwise."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def strings(value) -> list[str]:
+    """A list of strings, or a TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return [string(v) for v in value]

@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .chains import QueryChain
-from .errors import DataError
+from .errors import DataError, json_lines, string
 from .logs import ClickEvent, QueryEvent, SearchLog
 
 
@@ -212,16 +212,7 @@ def write_preferences(prefs: list[Preference]) -> str:
 
 
 def read_preferences(text: str) -> list[Preference]:
-    out = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            out.append(
-                Preference(rec["pref"], rec["over"], rec["wrt"],
-                           Strategy(rec["strategy"]), rec["chain"])
-            )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise DataError(f"preferences line {i}: {exc}") from exc
-    return out
+    return json_lines(text, lambda rec: Preference(
+        string(rec["pref"]), string(rec["over"]), string(rec["wrt"]),
+        Strategy(rec["strategy"]), string(rec["chain"]),
+    ))

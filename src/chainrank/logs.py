@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Union
 
-from .errors import DataError, LogParseError
+from .errors import DataError, json_lines, string, strings
 
 MAX_RESULTS = 100
 
@@ -66,91 +66,57 @@ class SearchLog:
         return len(self.events)
 
 
-def _check_click(click: ClickEvent, query: QueryEvent, line_no: int | None = None) -> None:
-    where = f" (line {line_no})" if line_no is not None else ""
+def _check_click(click: ClickEvent, query: QueryEvent) -> None:
     docs = query.result_docs()
     if not 1 <= click.rank <= len(docs):
         raise DataError(
-            f"click on {click.doc_id}{where}: rank {click.rank} outside results of "
+            f"click on {click.doc_id}: rank {click.rank} outside results of "
             f"query {query.query_id}"
         )
     if docs[click.rank - 1] != click.doc_id:
         raise DataError(
-            f"click{where}: doc {click.doc_id} is not at rank {click.rank} of "
-            f"query {query.query_id}"
+            f"click: doc {click.doc_id} is not at rank {click.rank} of query {query.query_id}"
         )
 
 
-def validate_log(log: SearchLog) -> None:
-    """Check referential integrity and per-session timestamp order."""
+def parse_log(text: str) -> SearchLog:
+    """Parse and validate a JSON-lines log in one pass.
+
+    Each record is checked as it is read: field types, a click against the
+    query it references (known, rank within its results, the document at
+    that rank), and timestamps that never decrease within a session.  Any
+    fault raises LogParseError with the line number.
+    """
     queries: dict[str, QueryEvent] = {}
     last_t: dict[str, int] = {}
-    for ev in log.events:
-        if isinstance(ev, QueryEvent):
-            session = ev.session_id
+
+    def record(rec: dict) -> Event:
+        kind = rec["type"]
+        if kind == "query":
+            ev = QueryEvent(
+                query_id=string(rec["qid"]),
+                session_id=string(rec["session"]),
+                timestamp=int(rec["t"]),
+                terms=strings(rec["terms"]),
+                results=[(string(r["doc"]), string(r["abstract"])) for r in rec["results"]],
+            )
             queries[ev.query_id] = ev
-        else:
+            session = ev.session_id
+        elif kind == "click":
+            ev = ClickEvent(rec["qid"], rec["doc"], int(rec["rank"]), int(rec["t"]))
             q = queries.get(ev.query_id)
             if q is None:
                 raise DataError(f"click references unknown query_id {ev.query_id}")
             _check_click(ev, q)
             session = q.session_id
+        else:
+            raise DataError(f"unknown record type {kind!r}")
         if ev.timestamp < last_t.get(session, 0):
             raise DataError(f"timestamps decrease within session {session}")
         last_t[session] = ev.timestamp
+        return ev
 
-
-def parse_log(stream: Union[str, bytes, Iterable[str]]) -> SearchLog:
-    """Parse a JSON-lines log. Malformed lines raise LogParseError with the line number."""
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in stream]
-
-    events: list[Event] = []
-    queries: dict[str, QueryEvent] = {}
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogParseError(line_no, f"invalid JSON ({exc.msg} at col {exc.colno})")
-        try:
-            kind = rec["type"]
-            if kind == "query":
-                ev = QueryEvent(
-                    query_id=rec["qid"],
-                    session_id=rec["session"],
-                    timestamp=int(rec["t"]),
-                    terms=list(rec["terms"]),
-                    results=[(r["doc"], r["abstract"]) for r in rec["results"]],
-                )
-                queries[ev.query_id] = ev
-            elif kind == "click":
-                ev = ClickEvent(
-                    query_id=rec["qid"],
-                    doc_id=rec["doc"],
-                    rank=int(rec["rank"]),
-                    timestamp=int(rec["t"]),
-                )
-                q = queries.get(ev.query_id)
-                if q is None:
-                    raise DataError(
-                        f"line {line_no}: click references unknown query_id {ev.query_id}"
-                    )
-                _check_click(ev, q, line_no)
-            else:
-                raise LogParseError(line_no, f"unknown record type {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LogParseError(line_no, f"bad record: {exc}") from exc
-        events.append(ev)
-
-    log = SearchLog(events)
-    validate_log(log)
-    return log
+    return SearchLog(json_lines(text, record))
 
 
 def write_log(log: SearchLog) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 
 from .chains import DEFAULT_WINDOW_SECONDS, read_chains, segment_log, write_chains
 from .corpus import Corpus, base_retrieve, build_index, index_from_json, index_to_json, load_documents, tokenize
-from .errors import DataError, StageError
+from .errors import DataError, StageError, json_object, malformed
 from .features import N_RANK_FEATURES, RANK_THRESHOLDS, FeatureSpace, SparseVector
 from .feedback import Preference, prefs_for_log, read_preferences, strategy_counts, write_preferences
 from .interleave import sign_test
@@ -42,6 +43,15 @@ log = logging.getLogger(__name__)
 ARTIFACT_VERSION = 1
 BASE_FN = "base"
 _STAGE_SEEDS = {"simulate": 1, "prefs": 2, "interleave": 3}
+
+
+SIDES = ("base", "qc", "nc")  # the rankers an interleaved comparison can name
+_SCALAR_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real}
+
+
+def is_comparison(pair) -> bool:
+    """Two different sides, each one of SIDES."""
+    return len(pair) == 2 and set(pair) <= set(SIDES) and pair[0] != pair[1]
 
 
 @dataclass
@@ -66,29 +76,27 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation's text, e.g. "int"
+            if not isinstance(getattr(self, f.name), _SCALAR_TYPES.get(f.type, object)):
+                raise TypeError(f"config field {f.name} must be {f.type}: {getattr(self, f.name)!r}")
         for name in ("sessions", "eval_sessions", "results_per_query", "window_seconds",
                      "C", "w_min", "tolerance", "max_iters"):
             if getattr(self, name) <= 0:
                 raise DataError(f"config field {name} must be positive")
-        known = {"base", "qc", "nc"}
         for pair in self.comparisons:
-            if len(pair) != 2 or not set(pair) <= known or pair[0] == pair[1]:
-                raise DataError(f"bad comparison {pair}; sides must be two of {sorted(known)}")
+            if not is_comparison(pair):
+                raise DataError(f"bad comparison {pair}; sides must be two of {sorted(SIDES)}")
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "ExperimentConfig":
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            text = Path(path).read_text(encoding="utf-8")
         except FileNotFoundError:
             raise StageError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config file {path} is not valid JSON: {exc}")
+        raw = json_object(text, f"config file {path}")
         raw.update(overrides or {})
-        names = {f.name for f in fields(cls)}
-        unknown = set(raw) - names
-        if unknown:
-            raise DataError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**raw)
+        with malformed(f"config file {path}"):  # an unknown field is a TypeError here
+            return cls(**raw)
 
     def behavior(self) -> UserBehavior:
         return UserBehavior(
@@ -114,9 +122,12 @@ def _canonical_json(value) -> str:
 
 
 def _parse_eval(text: str) -> dict:
-    raw = json.loads(text)
+    raw = json_object(text, "eval artifact")
     if raw.get("version") != ARTIFACT_VERSION:
         raise StageError(f"eval artifact {raw.get('modes')} has wrong version")
+    with malformed("eval artifact"):
+        if not all(isinstance(raw[key], int) for key in ("wins_a", "wins_b", "ties", "impressions")):
+            raise TypeError("wins_a, wins_b, ties and impressions must be integers")
     return raw
 
 
@@ -141,7 +152,8 @@ _FORMATS = {
     "prefs": _Format(".jsonl", "prefs", write_preferences, read_preferences),
     "model": _Format(".json", "train", model_to_json, model_from_json, sidecar=False),
     "eval": _Format(".json", "interleave", _canonical_json, _parse_eval),
-    "report": _Format(".json", "report", _canonical_json, json.loads),
+    "report": _Format(".json", "report", _canonical_json,
+                      lambda text: json_object(text, "report artifact")),
 }
 
 # Experiment inputs: config field holding the path, what it is, loader.
@@ -163,7 +175,8 @@ class DiskStore:
     """Artifacts as files in the config's workdir; inputs at the paths it names.
 
     Reading an artifact checks that it exists and that its sidecar carries
-    the current version, then parses it, at most once per store.
+    the current version, then parses it, at most once per store.  Every
+    DataError from reading an artifact or input names its file.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -187,18 +200,26 @@ class DiskStore:
             path = Path(getattr(self.cfg, key))
             if not path.exists():
                 raise StageError(f"{what} does not exist: {path}")
-            return load(path)
-        fmt, path, meta_path = self._file(name)
-        if not path.exists():
-            raise StageError(f"missing artifact {path}; run the '{fmt.producer}' stage first")
-        if fmt.sidecar and meta_path.exists():
-            version = json.loads(meta_path.read_text(encoding="utf-8")).get("version")
-            if version != ARTIFACT_VERSION:
-                raise StageError(
-                    f"artifact {path} has version {version}, "
-                    f"expected {ARTIFACT_VERSION}; refusing to use it"
-                )
-        return fmt.parse(path.read_text(encoding="utf-8"), *(self[n] for n in fmt.needs))
+            read = lambda: load(path)
+        else:
+            fmt, path, meta_path = self._file(name)
+            if not path.exists():
+                raise StageError(f"missing artifact {path}; run the '{fmt.producer}' stage first")
+            if fmt.sidecar and meta_path.exists():
+                meta = json_object(meta_path.read_text(encoding="utf-8"), f"sidecar {meta_path}")
+                if meta.get("version") != ARTIFACT_VERSION:
+                    raise StageError(
+                        f"artifact {path} has version {meta.get('version')}, "
+                        f"expected {ARTIFACT_VERSION}; refusing to use it"
+                    )
+            upstream = [self[n] for n in fmt.needs]  # their errors name their own files
+            read = lambda: fmt.parse(path.read_text(encoding="utf-8"), *upstream)
+        try:
+            return read()
+        except (DataError, UnicodeDecodeError) as exc:
+            if str(path) in str(exc):  # the reader named the file already
+                raise
+            raise DataError(f"{path}: {exc}") from exc
 
     def put(self, name: str, value, **meta) -> None:
         """Write `value`, plus a sidecar of version, producing stage and `meta`."""

@@ -61,18 +61,6 @@ class ScoredRanking:
         return len(self.entries)
 
 
-def _term_index(model: Model) -> dict[str, list[tuple[str, float]]]:
-    """term -> [(doc, weight)] over nonzero term/document weights, cached."""
-    cached = getattr(model, "_term_index_cache", None)
-    if cached is None:
-        cached = {}
-        for term, doc, w in model.term_doc_items():
-            if w != 0.0:
-                cached.setdefault(term, []).append((doc, w))
-        model._term_index_cache = cached
-    return cached
-
-
 def _rank_tables(model: Model) -> dict[str, list[float]]:
     """Per base function: entry r is the rank score of base rank r, cached.
 
@@ -95,7 +83,10 @@ def _term_weights(model: Model) -> dict[str, dict[str, float]]:
     """term -> {doc: weight} over nonzero term/document weights, cached."""
     cached = getattr(model, "_term_weights_cache", None)
     if cached is None:
-        cached = {term: dict(pairs) for term, pairs in _term_index(model).items()}
+        cached = {}
+        for term, doc, w in model.term_doc_items():
+            if w != 0.0:
+                cached.setdefault(term, {})[doc] = w
         model._term_weights_cache = cached
     return cached
 
@@ -147,9 +138,9 @@ def candidates(
     out: set[str] = set()
     for ranking in base_rankings.values():
         out.update(e.doc_id for e in ranking.entries[:BASE_DEPTH])
-    index = _term_index(model)
+    weights = _term_weights(model)
     for term in set(query_terms):
-        out.update(doc for doc, _ in index.get(term, ()))
+        out.update(weights.get(term, ()))
     return out
 
 

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .corpus import Corpus, RankedList
-from .errors import DataError
+from .errors import DataError, json_lines, json_object, malformed, string, strings
 from .feedback import Preference
 from .interleave import attribute, combine
 from .logs import ClickEvent, QueryEvent, SearchLog
@@ -139,7 +139,6 @@ def simulate(
     results_per_query: int = 10,
     multi_intent_prob: float = 0.0,
     intent_gap: tuple[int, int] = (1900, 3600),
-    session_gap: int = SESSION_GAP_SECONDS,
 ) -> tuple[SearchLog, list[TruthRecord]]:
     """Generate a log plus ground-truth sidecar; byte-deterministic per seed.
 
@@ -158,7 +157,7 @@ def simulate(
     for s in range(n_sessions):
         rng = np.random.default_rng([seed, s])
         session_id = f"s{s:06d}"
-        t = s * session_gap
+        t = s * SESSION_GAP_SECONDS
         intent_idx = s % len(intents)
         used = {intent_idx}
         n_queries = 0
@@ -296,16 +295,9 @@ def write_truth(records: list[TruthRecord]) -> str:
 
 
 def read_truth(text: str) -> list[TruthRecord]:
-    out = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            out.append(TruthRecord(rec["qid"], rec["intent"], dict(rec["relevance"])))
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise DataError(f"truth line {i}: {exc}") from exc
-    return out
+    return json_lines(text, lambda rec: TruthRecord(
+        string(rec["qid"]), string(rec["intent"]), dict(rec["relevance"])
+    ))
 
 
 def write_intents(intents: list[Intent]) -> str:
@@ -324,14 +316,13 @@ def write_intents(intents: list[Intent]) -> str:
 
 
 def read_intents(text: str) -> list[Intent]:
-    payload = json.loads(text)
-    if payload.get("version") != 1:
-        raise DataError(f"intent file version mismatch: {payload.get('version')}")
-    return [
-        Intent(
-            intent_id=rec["intent_id"],
-            relevant_docs=dict(rec["relevant_docs"]),
-            query_script=tuple(tuple(q) for q in rec["query_script"]),
-        )
-        for rec in payload["intents"]
-    ]
+    payload = json_object(text, "intent file", version=1)
+    with malformed("intent file"):
+        return [
+            Intent(
+                intent_id=string(rec["intent_id"]),
+                relevant_docs=dict(rec["relevant_docs"]),
+                query_script=tuple(tuple(strings(q)) for q in rec["query_script"]),
+            )
+            for rec in payload["intents"]
+        ]

@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
-from .features import RANK_THRESHOLDS, FeatureSpace, SparseVector
+from .errors import DataError, json_object, malformed
+from .features import N_RANK_FEATURES, RANK_THRESHOLDS, FeatureSpace, SparseVector
 
 DEFAULT_C = 1.0
 DEFAULT_W_MIN = 1.0
@@ -363,7 +363,7 @@ class Model:
 
     def rank_weights(self, fn: str) -> np.ndarray:
         off = self.space.rank_offset(fn)
-        return self.weights[off: off + 28]
+        return self.weights[off: off + N_RANK_FEATURES]
 
     def term_doc_weight(self, term: str, doc_id: str) -> float:
         fid = self.space._term_doc.get((term, doc_id))
@@ -436,17 +436,8 @@ def model_to_json(model: Model) -> str:
 
 def model_from_json(text: str) -> Model:
     """Parse a model artifact; malformed text or fields raise DataError."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"corrupt model artifact: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError("corrupt model artifact: not a JSON object")
-    if payload.get("version") != MODEL_VERSION:
-        raise DataError(
-            f"model version mismatch: expected {MODEL_VERSION}, got {payload.get('version')}"
-        )
-    try:
+    payload = json_object(text, "model artifact", MODEL_VERSION)
+    with malformed("model artifact"):
         space = FeatureSpace(tuple(payload["base_functions"]))
         weights = []
         for fn in space.base_functions:
@@ -457,8 +448,6 @@ def model_from_json(text: str) -> Model:
         space.freeze()
         return Model(space=space, weights=np.array(weights, dtype=float),
                      C=float(payload["C"]), w_min=float(payload["w_min"]), meta=payload["meta"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed model artifact: {type(exc).__name__} {exc}") from exc
 
 
 def save_model(model: Model, path: str | Path) -> None:

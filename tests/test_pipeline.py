@@ -346,3 +346,111 @@ def test_build_constraints_match_phi_oracle(small_fixture):
             )
             assert c.delta == expected
         assert space.term_doc_pairs() == oracle_space.term_doc_pairs()
+
+
+@pytest.mark.parametrize("pair", ["qc", "qc,zz", "qc,qc"])
+def test_cli_interleave_rejects_bad_pair(trained_workdir, capsys, pair):
+    cfg_path, _ = trained_workdir
+    capsys.readouterr()
+    assert cli_main(["interleave", "--config", str(cfg_path), "--pair", pair]) == 1
+    err = capsys.readouterr().err
+    assert "--pair" in err and "Traceback" not in err
+
+
+def _point_config_at(root):
+    """Make root/experiment.json read its inputs from root and write under root/out."""
+    path = root / "experiment.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw.update(corpus=str(root / "corpus.jsonl"), intents=str(root / "intents.json"),
+               workdir=str(root / "out"))
+    path.write_text(json.dumps(raw), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def evaluated_run(tmp_path_factory, trained_workdir):
+    """A self-contained copy of the trained run directory plus eval_qc_vs_base.json."""
+    cfg_path, _ = trained_workdir
+    root = tmp_path_factory.mktemp("evaluated")
+    shutil.copytree(cfg_path.parent, root, dirs_exist_ok=True)
+    _point_config_at(root)
+    cfg = ExperimentConfig.from_file(root / "experiment.json", {"eval_sessions": 40})
+    run_stage("interleave", cfg, pair=("qc", "base"))
+    return root
+
+
+def _edit_line(n, edit):
+    """Replace line n (1-based) of a JSON-lines text by edit(line)."""
+    def corrupt(text):
+        lines = text.splitlines()
+        lines[n - 1] = edit(lines[n - 1])
+        return "\n".join(lines) + "\n"
+    return corrupt
+
+
+def _edit_record(n, edit):
+    """Apply edit(record) to the object on line n of a JSON-lines text."""
+    def change(line):
+        rec = json.loads(line)
+        edit(rec)
+        return json.dumps(rec)
+    return _edit_line(n, change)
+
+
+def _edit_object(edit):
+    def corrupt(text):
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload)
+    return corrupt
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+# (file in the run directory, corruption, the stage that reads the file)
+FAULTS = {
+    "log-session-not-string": ("out/log.jsonl", _edit_record(1, lambda r: r.update(session=5)),
+                               ["chains"]),
+    "log-truncated-line": ("out/log.jsonl", _edit_line(3, _truncate), ["chains"]),
+    "log-infinite-time": ("out/log.jsonl", _edit_record(1, lambda r: r.update(t=float("inf"))),
+                          ["chains"]),
+    "chains-truncated-line": ("out/chains.jsonl", _edit_line(2, _truncate),
+                              ["prefs", "--mode", "qc"]),
+    "chains-array-line": ("out/chains.jsonl", _edit_line(2, lambda line: "[1]"),
+                          ["prefs", "--mode", "qc"]),
+    "chains-no-chain-id": ("out/chains.jsonl", _edit_record(1, lambda r: r.pop("chain_id")),
+                           ["prefs", "--mode", "qc"]),
+    "prefs-array-line": ("out/prefs_qc.jsonl", _edit_line(4, lambda line: "[1]"),
+                         ["train", "--mode", "qc"]),
+    "log-meta-truncated": ("out/log.jsonl.meta.json", _truncate, ["chains"]),
+    "log-meta-array": ("out/log.jsonl.meta.json", lambda text: "[]", ["chains"]),
+    "eval-truncated": ("out/eval_qc_vs_base.json", _truncate, ["report"]),
+    "eval-array": ("out/eval_qc_vs_base.json", lambda text: "[]", ["report"]),
+    "eval-no-wins-a": ("out/eval_qc_vs_base.json", _edit_object(lambda p: p.pop("wins_a")),
+                       ["report"]),
+    "intents-truncated": ("intents.json", _truncate, ["simulate"]),
+    "intents-array": ("intents.json", lambda text: "[]", ["simulate"]),
+    "corpus-title-not-string": ("corpus.jsonl", _edit_record(2, lambda r: r.update(title=5)),
+                                ["index"]),
+    "corpus-array-line": ("corpus.jsonl", _edit_line(2, lambda line: "[1]"), ["index"]),
+    "config-array": ("experiment.json", lambda text: "[]", ["index"]),
+    "config-sessions-string": ("experiment.json", _edit_object(lambda p: p.update(sessions="10")),
+                               ["index"]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_cli_corrupt_file_exits_2_naming_it(evaluated_run, tmp_path, capsys, fault):
+    target, corrupt, stage = FAULTS[fault]
+    root = tmp_path / "run"
+    shutil.copytree(evaluated_run, root)
+    _point_config_at(root)
+    path = root / target
+    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    code = cli_main(stage + ["--config", str(root / "experiment.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert path.name in err, err
