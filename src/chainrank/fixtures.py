@@ -25,7 +25,7 @@ import json
 import numpy as np
 
 from .corpus import Document
-from .errors import DataError
+from .errors import ChainrankError, DataError
 from .simulate import Intent
 
 _TOPICS: dict[str, list[str]] = {
@@ -163,6 +163,7 @@ def documents_to_jsonl(docs: list[Document]) -> str:
 def main(argv: list[str] | None = None) -> int:
     """Write a fixture corpus (JSON-lines) and intent file to a directory."""
     import argparse
+    import sys
     from pathlib import Path
 
     from .simulate import write_intents
@@ -173,8 +174,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=13)
     args = parser.parse_args(argv)
 
+    try:
+        docs, intents = make_fixture(args.docs, args.seed)
+    except ChainrankError as exc:
+        print(f"chainrank.fixtures: {exc}", file=sys.stderr)
+        return 2
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    docs, intents = make_fixture(args.docs, args.seed)
     (args.out_dir / "corpus.jsonl").write_text(documents_to_jsonl(docs), encoding="utf-8")
     (args.out_dir / "intents.json").write_text(write_intents(intents), encoding="utf-8")
     print(f"wrote {len(docs)} docs and {len(intents)} intents to {args.out_dir}")

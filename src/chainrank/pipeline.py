@@ -83,6 +83,8 @@ class ExperimentConfig:
                      "C", "w_min", "tolerance", "max_iters"):
             if getattr(self, name) <= 0:
                 raise DataError(f"config field {name} must be positive")
+        if self.seed < 0:
+            raise DataError(f"config field seed must be non-negative, got {self.seed}")
         for pair in self.comparisons:
             if not is_comparison(pair):
                 raise DataError(f"bad comparison {pair}; sides must be two of {sorted(SIDES)}")
@@ -93,6 +95,8 @@ class ExperimentConfig:
             text = Path(path).read_text(encoding="utf-8")
         except FileNotFoundError:
             raise StageError(f"config file not found: {path}")
+        except OSError as exc:
+            raise StageError(f"cannot read config file {path}: {exc.strerror or exc}")
         raw = json_object(text, f"config file {path}")
         raw.update(overrides or {})
         with malformed(f"config file {path}"):  # an unknown field is a TypeError here

@@ -103,3 +103,45 @@ def make_mixed_world(n_intents: int = 12, seed: int = 0):
         script = (("alpha",), ("beta",)) if k % 2 == 0 else (("beta",), ("alpha",))
         intents.append(Intent(f"need-{k:02d}", rel, script))
     return docs, intents
+
+
+def dual_ascent_dense(
+    deltas: np.ndarray,
+    C: float,
+    w_min: float = 0.0,
+    bounded: tuple[int, ...] = (),
+    tolerance: float = 1e-13,
+    max_sweeps: int = 200_000,
+) -> tuple[np.ndarray, float]:
+    """Plain projected dual coordinate ascent on the whole bounded problem.
+
+    Independent of the package solver: dense rows, no merging of duplicates,
+    no held dims and no components.  One multiplier alpha_i in [0, C] per
+    row and beta_d >= 0 per bounded dim; w = D^T alpha + beta.  Returns
+    (w, absolute primal-dual gap), so a caller can check the oracle itself.
+    """
+    n, dim = deltas.shape
+    bounded = list(bounded)
+    alpha, beta = np.zeros(n), np.zeros(len(bounded))
+    w = np.zeros(dim)
+    sq = (deltas * deltas).sum(axis=1)
+    for _ in range(max_sweeps):
+        worst = 0.0
+        for i in range(n):
+            if sq[i] == 0.0:
+                continue
+            g = deltas[i] @ w - 1.0
+            new = min(C, max(0.0, alpha[i] - g / sq[i]))
+            worst = max(worst, abs(new - alpha[i]) * sq[i])
+            w += (new - alpha[i]) * deltas[i]
+            alpha[i] = new
+        for k, d in enumerate(bounded):
+            new = max(0.0, beta[k] - (w[d] - w_min))
+            worst = max(worst, abs(new - beta[k]))
+            w[d] += new - beta[k]
+            beta[k] = new
+        if worst < tolerance:
+            break
+    primal = 0.5 * w @ w + C * np.maximum(0.0, 1.0 - deltas @ w).sum()
+    dual = alpha.sum() + w_min * beta.sum() - 0.5 * w @ w
+    return w, float(primal - dual)

@@ -11,6 +11,7 @@ from chainrank.errors import DataError, StageError
 from chainrank.features import FeatureSpace, phi
 from chainrank.feedback import prefs_for_log
 from chainrank.fixtures import documents_to_jsonl, make_fixture
+from chainrank.fixtures import main as fixtures_main
 from chainrank.pipeline import (
     BASE_FN,
     ExperimentConfig,
@@ -183,6 +184,7 @@ def test_run_experiment_deterministic(small_fixture):
     b = run_experiment(docs, intents, **kw)
     assert a.report == b.report
     assert model_to_json(a.models["qc"]) == model_to_json(b.models["qc"])
+    assert all(m.meta["converged"] is True for m in (*a.models.values(), *b.models.values()))
 
 
 def test_config_validation(tmp_path):
@@ -216,6 +218,31 @@ def test_cli_exit_codes(cfg, capsys):
     assert cli_main(["chains", "--config", config_path]) == 2
     capsys.readouterr()
 
+
+
+def test_cli_negative_seed_exits_2(cfg, tmp_path, capsys):
+    raw = json.loads(cfg.config_path.read_text())
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({**raw, "seed": -1}))
+    assert cli_main(["index", "--config", str(cfg.config_path)]) == 0
+    assert cli_main(["simulate", "--config", str(path)]) == 2
+    assert cli_main(["simulate", "--config", str(cfg.config_path), "--seed", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("seed must be non-negative") == 2
+    assert "Traceback" not in err
+
+
+def test_cli_config_directory_exits_2(tmp_path, capsys):
+    assert cli_main(["index", "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and "Traceback" not in err
+
+
+def test_fixtures_main_too_few_docs_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "fixtures"
+    assert fixtures_main([str(out_dir), "--docs", "50"]) == 2
+    assert "need at least 300 docs" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 def test_cli_end_to_end(cfg, capsys):
     config_path = str(cfg.config_path)

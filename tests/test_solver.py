@@ -23,7 +23,7 @@ from chainrank.solver import (
     train_binary,
     train_ranking,
 )
-from helpers import densify, grid_minimize_hinge
+from helpers import densify, dual_ascent_dense, grid_minimize_hinge
 
 
 def sv(items):
@@ -362,3 +362,54 @@ def test_fit_model_and_train_binary_record_gap():
     X = np.array([[-2.0, 0.5], [2.0, 0.1], [1.0, -1.0], [-0.5, 0.3]])
     binary = train_binary(X, np.array([-1.0, 1.0, 1.0, -1.0]), C=1.0)
     assert -1e-12 <= binary.meta["gap"] < 1e-6
+
+
+def block_instance(rng):
+    """Rows over a shared bounded block plus one of several blocks of free dims.
+
+    The free blocks are disjoint, so with the bounded block held the rows
+    fall into several components; rows with only bounded entries have no
+    free feature, and a few rows repeat.  Small w_min and large C push some bounded dims above
+    their bound.
+    """
+    n_bounded = int(rng.integers(1, 4))
+    blocks, dim = [], n_bounded
+    for _ in range(int(rng.integers(2, 5))):
+        size = int(rng.integers(1, 4))
+        blocks.append(range(dim, dim + size))
+        dim += size
+    cons = []
+    for _ in range(int(rng.integers(4, 16))):
+        items = {}
+        if rng.random() < 0.85:
+            for j in blocks[int(rng.integers(len(blocks)))]:
+                if rng.random() < 0.7:
+                    items[j] = float(rng.normal())
+        for d in range(n_bounded):
+            if rng.random() < 0.4:
+                items[d] = float(rng.choice([-1.0, 1.0, 2.0]))
+        if not items:
+            items[int(rng.integers(dim))] = 1.0
+        cons.append(PreferenceConstraint(sv(items)))
+    cons += [cons[int(rng.integers(len(cons)))] for _ in range(int(rng.integers(0, 3)))]
+    C = float(rng.choice([0.3, 1.0, 3.0]))
+    w_min = float(rng.choice([0.0, 0.25, 1.0]))
+    return cons, C, w_min, tuple(range(n_bounded)), dim
+
+
+def test_decomposed_solve_matches_dense_dual_ascent():
+    rng = np.random.default_rng(61)
+    released = split = 0
+    for _ in range(40):
+        cons, C, w_min, bounded, dim = block_instance(rng)
+        sol = train_ranking(cons, C=C, w_min=w_min, bounded_dims=bounded, dim=dim)
+        w_oracle, oracle_gap = dual_ascent_dense(densify(cons, dim), C, w_min, bounded)
+        assert oracle_gap < 1e-10
+        assert sol.converged
+        assert np.abs(sol.weights - w_oracle).max() <= 1e-5
+        assert sol.gap <= 1e-6
+        assert min(sol.weights[list(bounded)]) >= w_min
+        released += sol.rounds >= 2
+        split += sol.components >= 2
+    assert released >= 10  # the release path ran
+    assert split >= 10
