@@ -5,7 +5,6 @@ from chainrank import (
     ClickEvent,
     QueryEvent,
     SearchLog,
-    extract_pair_features,
     prefs_for_log,
     segment_log,
 )
@@ -25,11 +24,6 @@ log = SearchLog([q_typo, q_fixed, click, q_later])
 
 chains = segment_log(log, window_seconds=1800)
 print("chains:", [(c.chain_id, c.query_ids()) for c in chains])
-
-features = extract_pair_features(q_typo, q_fixed)
-print("\npair features for (typo, correction):")
-print(f"  cos_queries={features.cos_queries:.2f}  trigram={features.trigram_match:.2f}"
-      f"  dt_le_100={features.dt_le_100:.0f}  norm_min_results={features.norm_min_results}")
 
 prefs = prefs_for_log(log, chains, mode="qc",
                       padding_pool=[d for d, _ in q_fixed.results] + ["misc-1", "misc-2"],

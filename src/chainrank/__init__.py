@@ -6,15 +6,8 @@ judgments from clicks, train a hard-constrained pairwise ranking model, and
 compare retrieval functions with balanced interleaving and a sign test.
 """
 
-from .chains import (
-    ChainPairFeatures,
-    QueryChain,
-    classify_pair,
-    extract_pair_features,
-    segment_heuristic,
-    segment_log,
-)
-from .corpus import Corpus, Document, RankedList, base_retrieve, build_index, load_index, save_index
+from .chains import QueryChain, segment_heuristic, segment_log
+from .corpus import Corpus, Document, RankedList, base_retrieve, build_index
 from .errors import ChainrankError, DataError, LogParseError, StageError
 from .features import FeatureSpace, SparseVector, phi, phi_rank, phi_terms
 from .feedback import Preference, Strategy, prefs_cross_query, prefs_for_log, prefs_within_query
@@ -24,18 +17,14 @@ from .pipeline import ExperimentConfig, run_experiment, run_stage
 from .ranking import RerankRequest, ScoredRanking, candidates, rerank, score
 from .simulate import Intent, UserBehavior, interleaved_eval, simulate, strategy_accuracy
 from .solver import (
-    BinaryModel,
     Model,
     PreferenceConstraint,
     SlackReport,
     fit_model,
     fresh_model,
-    load_model,
     objective,
-    save_model,
     slack_report,
     subgradient,
-    train_binary,
     train_ranking,
 )
 

@@ -202,14 +202,6 @@ def index_from_json(text: str) -> Corpus:
     return build_index(docs)
 
 
-def save_index(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(index_to_json(corpus), encoding="utf-8")
-
-
-def load_index(path: str | Path) -> Corpus:
-    return index_from_json(Path(path).read_text(encoding="utf-8"))
-
-
 def load_documents(path: str | Path) -> list[Document]:
     """Load a corpus from a directory of text files or a JSON-lines file.
 

@@ -176,12 +176,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         docs, intents = make_fixture(args.docs, args.seed)
-    except ChainrankError as exc:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        (args.out_dir / "corpus.jsonl").write_text(documents_to_jsonl(docs), encoding="utf-8")
+        (args.out_dir / "intents.json").write_text(write_intents(intents), encoding="utf-8")
+    except (ChainrankError, OSError) as exc:  # an OSError's text names its path
         print(f"chainrank.fixtures: {exc}", file=sys.stderr)
         return 2
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    (args.out_dir / "corpus.jsonl").write_text(documents_to_jsonl(docs), encoding="utf-8")
-    (args.out_dir / "intents.json").write_text(write_intents(intents), encoding="utf-8")
     print(f"wrote {len(docs)} docs and {len(intents)} intents to {args.out_dir}")
     return 0
 

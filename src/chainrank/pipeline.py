@@ -226,15 +226,22 @@ class DiskStore:
             raise DataError(f"{path}: {exc}") from exc
 
     def put(self, name: str, value, **meta) -> None:
-        """Write `value`, plus a sidecar of version, producing stage and `meta`."""
+        """Write `value`, plus a sidecar of version, producing stage and `meta`.
+
+        An OSError on the way (say, a workdir that is a file) is a StageError.
+        """
         fmt, path, meta_path = self._file(name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(fmt.dump(value), encoding="utf-8")
-        if fmt.sidecar:
-            meta_path.write_text(
-                _canonical_json({"version": ARTIFACT_VERSION, "stage": fmt.producer, **meta}),
-                encoding="utf-8",
-            )
+        text = fmt.dump(value)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+            if fmt.sidecar:
+                meta_path.write_text(
+                    _canonical_json({"version": ARTIFACT_VERSION, "stage": fmt.producer, **meta}),
+                    encoding="utf-8",
+                )
+        except OSError as exc:
+            raise StageError(f"cannot write artifact {path}: {exc}") from exc
         self._parsed[name] = value
         log.debug("wrote %s", path)
 

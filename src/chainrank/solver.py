@@ -28,10 +28,8 @@ it touches, and the rows are solved again.  The sweep runs over native
 Python lists built once per round, since each row has only a handful of
 nonzeros; objective, violations and the relative primal-dual gap of the full
 problem are then computed with numpy, and the gap is recorded as
-`meta["gap"]` on every trained model.  A plain binary hinge-loss mode (for
-the query-chain classifier) reuses the same machinery on label-signed,
-bias-augmented rows; its bias column connects every row, so it runs one
-round over one component.
+`meta["gap"]` on every trained model.  `fit_model` is the one entry point
+the pipeline trains through.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -81,27 +78,6 @@ class RankingSolution:
     gap: float  # relative primal-dual gap (P - D) / max(1, |P|) at return
     rounds: int  # active-set rounds: 1 + the number of times held dims were released
     components: int  # connected components swept in the last round
-
-
-@dataclass
-class BinaryModel:
-    """Linear classifier: predict positive iff weights . x + bias > 0."""
-
-    weights: np.ndarray
-    bias: float
-    degenerate: bool = False
-    meta: dict = field(default_factory=dict)
-
-    def decision(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.weights.shape:
-            raise DataError(
-                f"dimension mismatch: model dim {self.weights.shape[0]}, input {x.shape}"
-            )
-        return float(self.weights @ x + self.bias)
-
-    def predict(self, x: np.ndarray) -> bool:
-        return self.decision(x) > 0.0
 
 
 def objective(w: np.ndarray, constraints: list[PreferenceConstraint], C: float) -> float:
@@ -384,58 +360,6 @@ def train_ranking(
     )
 
 
-def binary_objective(w: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, C: float) -> float:
-    """Hinge objective of the binary mode. The bias is regularized like a weight."""
-    wt = np.concatenate([np.asarray(w, float), [bias]])
-    margins = y * (X @ w + bias)
-    return 0.5 * float(wt @ wt) + C * float(np.maximum(0.0, 1.0 - margins).sum())
-
-
-def train_binary(
-    X: np.ndarray,
-    y: np.ndarray,
-    C: float = DEFAULT_C,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> BinaryModel:
-    """Train a linear hinge-loss classifier with a (regularized) bias term.
-
-    Labels must be +1/-1.  Single-class input yields a flagged degenerate
-    model that always predicts that class.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or len(X) != len(y):
-        raise DataError("X must be 2-d with one row per label")
-    if not set(np.unique(y)) <= {-1.0, 1.0}:
-        raise DataError("labels must be +1/-1")
-    classes = set(np.unique(y))
-    if len(classes) < 2:
-        label = 1.0 if classes == {1.0} or not classes else -1.0
-        warnings.warn("single-class training input: returning degenerate bias-only model")
-        return BinaryModel(
-            weights=np.zeros(X.shape[1]), bias=label, degenerate=True,
-            meta={"converged": True, "iterations": 0},
-        )
-
-    # Row i of the ranking form: delta_i = y_i * [x_i, 1].
-    constraints = []
-    for xi, yi in zip(X, y):
-        row = np.concatenate([xi, [1.0]]) * yi
-        items = {j: float(v) for j, v in enumerate(row) if v != 0.0}
-        constraints.append(PreferenceConstraint(SparseVector.from_items(items)))
-    sol = train_ranking(
-        constraints, C=C, dim=X.shape[1] + 1, tolerance=tolerance, max_iters=max_iters
-    )
-    return BinaryModel(
-        weights=sol.weights[:-1],
-        bias=float(sol.weights[-1]),
-        degenerate=False,
-        meta={"converged": sol.converged, "iterations": sol.iterations,
-              "objective": sol.objective, "gap": sol.gap},
-    )
-
-
 MODEL_VERSION = 1
 
 
@@ -547,11 +471,3 @@ def model_from_json(text: str) -> Model:
         space.freeze()
         return Model(space=space, weights=np.array(weights, dtype=float),
                      C=float(payload["C"]), w_min=float(payload["w_min"]), meta=payload["meta"])
-
-
-def save_model(model: Model, path: str | Path) -> None:
-    Path(path).write_text(model_to_json(model), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> Model:
-    return model_from_json(Path(path).read_text(encoding="utf-8"))

@@ -10,9 +10,9 @@ from chainrank.corpus import (
     Document,
     base_retrieve,
     build_index,
+    index_from_json,
+    index_to_json,
     load_documents,
-    load_index,
-    save_index,
     tokenize,
 )
 from chainrank.errors import DataError
@@ -162,13 +162,13 @@ def test_score_monotone_in_added_unique_term(bodies, query, target):
 
 def test_index_round_trip(tmp_path, toy_docs, toy_corpus):
     path = tmp_path / "index.json"
-    save_index(toy_corpus, path)
-    loaded = load_index(path)
+    path.write_text(index_to_json(toy_corpus), encoding="utf-8")
+    loaded = index_from_json(path.read_text(encoding="utf-8"))
     for query in (["rare"], ["collections"], ["hours", "room"]):
         assert base_retrieve(loaded, query, 10).doc_ids() == \
             base_retrieve(toy_corpus, query, 10).doc_ids()
     first = path.read_bytes()
-    save_index(loaded, path)
+    path.write_text(index_to_json(loaded), encoding="utf-8")
     assert path.read_bytes() == first
 
 
@@ -176,7 +176,7 @@ def test_index_version_mismatch(tmp_path):
     path = tmp_path / "index.json"
     path.write_text('{"version": 99, "documents": []}')
     with pytest.raises(DataError, match="version"):
-        load_index(path)
+        index_from_json(path.read_text(encoding="utf-8"))
 
 
 def test_load_documents_directory(tmp_path):

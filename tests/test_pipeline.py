@@ -238,11 +238,31 @@ def test_cli_config_directory_exits_2(tmp_path, capsys):
     assert str(tmp_path) in err and "Traceback" not in err
 
 
+def test_cli_workdir_is_file_exits_2(cfg, tmp_path, capsys):
+    workdir = tmp_path / "not-a-dir"
+    workdir.write_text("")
+    args = ["index", "--config", str(cfg.config_path), "--workdir", str(workdir)]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert str(workdir) in err and "Traceback" not in err
+
+
 def test_fixtures_main_too_few_docs_exits_2(tmp_path, capsys):
     out_dir = tmp_path / "fixtures"
     assert fixtures_main([str(out_dir), "--docs", "50"]) == 2
     assert "need at least 300 docs" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("out_name", ["file", "file/sub"])
+def test_fixtures_main_unwritable_out_dir_exits_2(tmp_path, capsys, out_name):
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / out_name
+    assert fixtures_main([str(out_dir), "--docs", "300"]) == 2
+    err = capsys.readouterr().err
+    assert str(out_dir) in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
 
 def test_cli_end_to_end(cfg, capsys):
     config_path = str(cfg.config_path)

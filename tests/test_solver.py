@@ -7,20 +7,15 @@ from chainrank.errors import DataError
 from chainrank.features import FeatureSpace, SparseVector, phi
 from chainrank.solver import (
     DEFAULT_MAX_ITERS,
-    BinaryModel,
     Model,
     PreferenceConstraint,
-    binary_objective,
     fit_model,
     fresh_model,
-    load_model,
     model_from_json,
     model_to_json,
     objective,
-    save_model,
     slack_report,
     subgradient,
-    train_binary,
     train_ranking,
 )
 from helpers import densify, dual_ascent_dense, grid_minimize_hinge
@@ -217,47 +212,6 @@ def test_subgradient_matches_finite_differences():
         checked += 1
 
 
-def test_train_binary_separable():
-    X = np.array([[-2.0], [2.0]])
-    y = np.array([-1.0, 1.0])
-    model = train_binary(X, y, C=1.0)
-    assert not model.predict(np.array([-2.0]))
-    assert model.predict(np.array([2.0]))
-
-
-def test_train_binary_single_class_degenerate():
-    X = np.array([[0.5, 1.0], [1.0, 0.0]])
-    with pytest.warns(UserWarning, match="single-class"):
-        model = train_binary(X, np.array([1.0, 1.0]))
-    assert model.degenerate
-    assert model.predict(np.array([0.0, 0.0]))
-    assert model.weights.tolist() == [0.0, 0.0]
-
-
-def test_train_binary_label_validation():
-    with pytest.raises(DataError, match="labels"):
-        train_binary(np.zeros((2, 1)), np.array([0.0, 2.0]))
-
-
-def test_train_binary_vs_grid_oracle_2d():
-    rng = np.random.default_rng(31)
-    X = np.vstack([rng.normal(loc=-1.0, size=(6, 2)), rng.normal(loc=1.0, size=(6, 2))])
-    y = np.array([-1.0] * 6 + [1.0] * 6)
-    C = 1.0
-    model = train_binary(X, y, C=C)
-    got = binary_objective(model.weights, model.bias, X, y, C)
-    # independent oracle over the bias-augmented space
-    deltas = np.concatenate([X, np.ones((len(X), 1))], axis=1) * y[:, None]
-    _, f_oracle = grid_minimize_hinge(deltas, C)
-    assert got <= f_oracle + 1e-3
-
-
-def test_binary_dimension_mismatch():
-    model = BinaryModel(weights=np.zeros(3), bias=0.0)
-    with pytest.raises(DataError, match="dimension"):
-        model.decision(np.zeros(4))
-
-
 def _small_model():
     space = FeatureSpace(("base",))
     cons = []
@@ -281,8 +235,8 @@ def test_model_json_round_trip_bit_exact(tmp_path):
     again = model_to_json(model_from_json(text))
     assert again == text
     path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
+    path.write_text(model_to_json(model), encoding="utf-8")
+    loaded = model_from_json(path.read_text(encoding="utf-8"))
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.space.term_doc_pairs() == model.space.term_doc_pairs()
     # a reloaded space produces identical feature vectors
@@ -356,12 +310,9 @@ def test_duality_gap_certifies_convergence():
     assert compared >= 20
 
 
-def test_fit_model_and_train_binary_record_gap():
+def test_fit_model_records_gap():
     model = _small_model()
     assert -1e-12 <= model.meta["gap"] < 1e-6
-    X = np.array([[-2.0, 0.5], [2.0, 0.1], [1.0, -1.0], [-0.5, 0.3]])
-    binary = train_binary(X, np.array([-1.0, 1.0, 1.0, -1.0]), C=1.0)
-    assert -1e-12 <= binary.meta["gap"] < 1e-6
 
 
 def block_instance(rng):
