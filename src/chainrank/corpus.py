@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -23,12 +23,12 @@ INDEX_VERSION = 1
 _DOCUMENT_FIELDS = {"doc_id", "title", "body"}
 DEFAULT_K = 100
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric runs. No stemming, no stopwords."""
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+    """Lowercase, then keep the maximal alphanumeric runs. No stemming, no stopwords."""
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass
@@ -100,15 +100,14 @@ class Corpus:
                 raise DataError(f"duplicate doc_id: {doc.doc_id}")
             self.documents[doc.doc_id] = doc
 
-        postings: dict[str, list[tuple[str, int]]] = {}
-        weighted: dict[str, dict[str, int]] = {}
-        for doc in self.documents.values():
-            raw = Counter(doc.tokens)
-            title = Counter(doc.title_tokens)
-            for term, n in raw.items():
-                postings.setdefault(term, []).append((doc.doc_id, n))
-                # title tokens weighted double: raw count + one extra per title hit
-                weighted.setdefault(term, {})[doc.doc_id] = n + title.get(term, 0)
+        postings: dict[str, list[tuple[str, int]]] = defaultdict(list)
+        weighted: dict[str, dict[str, int]] = defaultdict(dict)
+        for doc_id, doc in self.documents.items():
+            for term, n in Counter(doc.tokens).items():
+                postings[term].append((doc_id, n))
+                weighted[term][doc_id] = n
+            for term in doc.title_tokens:  # title tokens weighted double: one extra per title hit
+                weighted[term][doc_id] += 1
         self.postings = {t: postings[t] for t in sorted(postings)}
         self.vocabulary = set(self.postings)
 
@@ -117,14 +116,17 @@ class Corpus:
             t: 1.0 + math.log((1 + n_docs) / (1 + len(plist)))
             for t, plist in self.postings.items()
         }
-        self._weighted = weighted
-        self._norms: dict[str, float] = {}
-        for doc_id, doc in self.documents.items():
-            acc = 0.0
-            for term in sorted(set(doc.tokens)):
-                w = (1.0 + math.log(weighted[term][doc_id])) * self._idf[term]
-                acc += w * w
-            self._norms[doc_id] = math.sqrt(acc)
+        self._weighted = dict(weighted)
+        top = max((max(counts.values()) for counts in weighted.values()), default=0)
+        log_tf = [0.0] + [1.0 + math.log(n) for n in range(1, top + 1)]  # one log per count
+        # Terms in sorted order, so each document's squares add up in the
+        # order of its own sorted terms.
+        norm_sq = dict.fromkeys(self.documents, 0.0)
+        for term, idf in self._idf.items():
+            for doc_id, wtf in weighted[term].items():
+                w = log_tf[wtf] * idf
+                norm_sq[doc_id] += w * w
+        self._norms = {doc_id: math.sqrt(acc) for doc_id, acc in norm_sq.items()}
 
     def __len__(self) -> int:
         return len(self.documents)

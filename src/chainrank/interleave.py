@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DataError
 
@@ -33,6 +34,11 @@ class Interleaving:
             return (0, 0)
         n = min(n, len(self.combined))
         return self.consumed[n - 1]
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """1-based position of each document in the combined list."""
+        return {doc: i + 1 for i, doc in enumerate(self.combined)}
 
 
 @dataclass
@@ -82,7 +88,7 @@ def attribute(inter: Interleaving, clicked: set[str]) -> Attribution:
     The deepest clicked position bounds what the user scanned; each side is
     credited with clicks landing in its seen prefix at that depth.
     """
-    positions = {doc: i + 1 for i, doc in enumerate(inter.combined)}
+    positions = inter.positions
     for doc in clicked:
         if doc not in positions:
             raise DataError(f"clicked doc {doc} is not in the combined ranking")

@@ -33,7 +33,7 @@ import numpy as np
 from .corpus import Corpus, RankedList
 from .errors import DataError, json_lines, json_object, malformed, string, strings
 from .feedback import Preference
-from .interleave import attribute, combine
+from .interleave import Interleaving, attribute, combine
 from .logs import ClickEvent, QueryEvent, SearchLog
 
 Ranker = Callable[[list[str], int], RankedList]
@@ -253,18 +253,29 @@ def interleaved_eval(
 
     The leading side is drawn once per session (the user keeps one blend for
     the whole session) from the same derived generator as everything else.
+    Each distinct (intent, both rankings, leading side) is interleaved once
+    per call; the rankings key the memo, so a ranker may return different
+    lists for the same terms.
     """
+    if not intents and n_sessions > 0:
+        raise DataError("need at least one intent")
     result = PairEvalResult()
+    cases: dict[tuple, tuple[Interleaving, list[str], list[float]]] = {}
     for s in range(n_sessions):
         rng = np.random.default_rng([seed, s])
         a_first = bool(rng.random() < 0.5)  # session-sticky coin
-        intent = intents[s % len(intents)]
+        intent_idx = s % len(intents)
+        intent = intents[intent_idx]
         for terms in intent.query_script:
             ra = ranker_a(list(terms), results_per_query)
             rb = ranker_b(list(terms), results_per_query)
-            inter = combine(ra.doc_ids(), rb.doc_ids(), first_r=a_first)
-            shown = inter.combined[:results_per_query]
-            grades = [intent.grade(d) for d in shown]
+            docs_a, docs_b = ra.doc_ids(), rb.doc_ids()
+            key = (intent_idx, tuple(docs_a), tuple(docs_b), a_first)
+            if key not in cases:
+                inter = combine(docs_a, docs_b, first_r=a_first)
+                shown = inter.combined[:results_per_query]
+                cases[key] = (inter, shown, [intent.grade(d) for d in shown])
+            inter, shown, grades = cases[key]
             clicked_pos = scan_and_click(grades, behavior, rng)
             clicked_docs = {shown[p] for p in clicked_pos}
             att = attribute(inter, clicked_docs)
@@ -318,7 +329,7 @@ def write_intents(intents: list[Intent]) -> str:
 def read_intents(text: str) -> list[Intent]:
     payload = json_object(text, "intent file", version=1)
     with malformed("intent file"):
-        return [
+        intents = [
             Intent(
                 intent_id=string(rec["intent_id"]),
                 relevant_docs=dict(rec["relevant_docs"]),
@@ -326,3 +337,6 @@ def read_intents(text: str) -> list[Intent]:
             )
             for rec in payload["intents"]
         ]
+    if not intents:
+        raise DataError("malformed intent file: it lists no intents")
+    return intents

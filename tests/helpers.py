@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 
 from chainrank.corpus import Document
+from chainrank.interleave import attribute, combine
 from chainrank.logs import ClickEvent, QueryEvent
-from chainrank.simulate import Intent
+from chainrank.simulate import Intent, PairEvalResult, _satisfied, scan_and_click
 
 
 def make_query(qid, session, t, terms, docs, abstracts=None):
@@ -145,3 +149,75 @@ def dual_ascent_dense(
     primal = 0.5 * w @ w + C * np.maximum(0.0, 1.0 - deltas @ w).sum()
     dual = alpha.sum() + w_min * beta.sum() - 0.5 * w @ w
     return w, float(primal - dual)
+
+
+def split_tokenize(text: str) -> list[str]:
+    """The tokenizer by its definition: lowercase, split on non-alphanumeric runs, drop empties."""
+    return [t for t in re.split(r"[^0-9a-z]+", text.lower()) if t]
+
+
+def naive_index(docs: list[Document]) -> dict:
+    """Every index structure recomputed from the definition, one term at a time.
+
+    postings: term -> [(doc_id, raw count in title + body)] by doc_id;
+    idf: 1 + ln((1 + N) / (1 + df)); weighted: term -> {doc_id: raw count +
+    title count}; norms: sqrt of the sum, over the document's terms in sorted
+    order, of ((1 + ln wtf) * idf)^2.
+    """
+    toks = {d.doc_id: (split_tokenize(d.title), split_tokenize(d.body)) for d in docs}
+    ids = sorted(toks)
+    vocab = sorted({t for title, body in toks.values() for t in title + body})
+    postings, weighted = {}, {}
+    for term in vocab:
+        postings[term] = [(d, (toks[d][0] + toks[d][1]).count(term)) for d in ids
+                          if term in toks[d][0] + toks[d][1]]
+        weighted[term] = {d: n + toks[d][0].count(term) for d, n in postings[term]}
+    idf = {t: 1.0 + math.log((1 + len(ids)) / (1 + len(postings[t]))) for t in vocab}
+    norms = {}
+    for d in ids:
+        acc = 0.0
+        for term in sorted(set(toks[d][0] + toks[d][1])):
+            w = (1.0 + math.log(weighted[term][d])) * idf[term]
+            acc += w * w
+        norms[d] = math.sqrt(acc)
+    return {"postings": postings, "idf": idf, "weighted": weighted, "norms": norms}
+
+
+def naive_retrieve(index: dict, query_terms: list[str], k: int) -> list[tuple[str, float]]:
+    """(doc_id, score) of the top k by the baseline's documented formula, over `naive_index`."""
+    counts = {t: query_terms.count(t) for t in query_terms if t}
+    scores: dict[str, float] = {}
+    for term in sorted(counts):
+        if term not in index["postings"]:
+            continue
+        q_w = (1.0 + math.log(counts[term])) * index["idf"][term]
+        for doc_id, _ in index["postings"][term]:
+            d_w = (1.0 + math.log(index["weighted"][term][doc_id])) * index["idf"][term]
+            scores[doc_id] = scores.get(doc_id, 0.0) + q_w * d_w
+    scored = [(d, s / index["norms"][d]) for d, s in scores.items()]
+    return sorted(scored, key=lambda p: (-p[1], p[0]))[:k]
+
+
+def interleaved_eval_per_query(ranker_a, ranker_b, intents, behavior, n_sessions, seed,
+                               results_per_query=10) -> PairEvalResult:
+    """Interleaved evaluation with no memo: combine and attribute on every query."""
+    result = PairEvalResult()
+    for s in range(n_sessions):
+        rng = np.random.default_rng([seed, s])
+        a_first = bool(rng.random() < 0.5)
+        intent = intents[s % len(intents)]
+        for terms in intent.query_script:
+            ra = ranker_a(list(terms), results_per_query)
+            rb = ranker_b(list(terms), results_per_query)
+            inter = combine(ra.doc_ids(), rb.doc_ids(), first_r=a_first)
+            shown = inter.combined[:results_per_query]
+            clicked_pos = scan_and_click([intent.grade(d) for d in shown], behavior, rng)
+            clicked_docs = {shown[p] for p in clicked_pos}
+            winner = attribute(inter, clicked_docs).winner
+            result.impressions += 1
+            result.wins_a += winner == "r"
+            result.wins_b += winner == "r_prime"
+            result.ties += winner == "tie"
+            if _satisfied(intent, sorted(clicked_docs), behavior, rng):
+                break
+    return result

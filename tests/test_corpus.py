@@ -16,6 +16,7 @@ from chainrank.corpus import (
     tokenize,
 )
 from chainrank.errors import DataError
+from helpers import naive_index, naive_retrieve, split_tokenize
 
 
 def dense_tfidf_scores(docs, query_terms):
@@ -158,6 +159,42 @@ def test_score_monotone_in_added_unique_term(bodies, query, target):
     tid = f"d{target}"
     if tid in before:
         assert after[tid] >= before[tid] - 1e-12
+
+
+# shared with titles so title terms also occur in bodies; non-ASCII words
+# lowercase into several tokens ("İ" becomes "i" plus a combining dot)
+INDEX_WORDS = WORDS[:4] + ["x1", "42", "Alpha", "naïve", "İSTANBUL", "straße", "ǅemal"]
+_texts = st.one_of(
+    st.lists(st.sampled_from(INDEX_WORDS), max_size=10).map(" ".join),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fields=st.lists(st.tuples(_texts, _texts), min_size=1, max_size=6),
+    queries=st.lists(st.lists(st.sampled_from(INDEX_WORDS + ["absent"]), max_size=4),
+                     min_size=1, max_size=4),
+)
+def test_index_matches_naive_builder(fields, queries):
+    docs = [Document(f"d{i:02d}", title, body) for i, (title, body) in enumerate(fields)]
+    corpus = build_index(docs[::-1])
+    oracle = naive_index(docs)
+    assert corpus.postings == oracle["postings"]
+    assert corpus.vocabulary == set(oracle["postings"])
+    assert corpus._idf == oracle["idf"]
+    assert corpus._weighted == oracle["weighted"]
+    assert corpus._norms == oracle["norms"]  # float ==: equal to the bit
+    for query in queries + [[term] for term in oracle["postings"]]:
+        terms = [t for w in query for t in split_tokenize(w)]
+        got = base_retrieve(corpus, terms, 5)
+        assert [(e.doc_id, e.score) for e in got.entries] == naive_retrieve(oracle, terms, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text())
+def test_tokenize_matches_split_definition(text):
+    assert tokenize(text) == split_tokenize(text)
 
 
 def test_index_round_trip(tmp_path, toy_docs, toy_corpus):

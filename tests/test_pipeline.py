@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +246,17 @@ def test_cli_workdir_is_file_exits_2(cfg, tmp_path, capsys):
     assert cli_main(args) == 2
     err = capsys.readouterr().err
     assert str(workdir) in err and "Traceback" not in err
+
+
+def test_cli_empty_intents_exits_2(cfg, capsys):
+    config_path = str(cfg.config_path)
+    run_all_stages(cfg)
+    Path(cfg.intents).write_text(write_intents([]), encoding="utf-8")
+    assert cli_main(["simulate", "--config", config_path]) == 2
+    assert cli_main(["interleave", "--config", config_path]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"{cfg.intents}: malformed intent file: it lists no intents") == 2
+    assert "Traceback" not in err
 
 
 def test_fixtures_main_too_few_docs_exits_2(tmp_path, capsys):

@@ -1,12 +1,15 @@
+import random
+
 import numpy as np
 import pytest
 
 from chainrank.chains import segment_log
-from chainrank.corpus import base_retrieve, build_index
+from chainrank.corpus import RankedList, RankEntry, base_retrieve, build_index
 from chainrank.errors import DataError
 from chainrank.feedback import prefs_for_log
 from chainrank.fixtures import make_fixture
 from chainrank.logs import ClickEvent, QueryEvent, group_sessions, parse_log, write_log
+from chainrank.pipeline import base_ranker
 from chainrank.simulate import (
     Intent,
     UserBehavior,
@@ -19,6 +22,7 @@ from chainrank.simulate import (
     write_intents,
     write_truth,
 )
+from helpers import interleaved_eval_per_query
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +192,79 @@ def test_interleaved_eval_self_comparison_all_ties(small_world):
                            n_sessions=40, seed=3)
     assert res.wins_a == res.wins_b == 0
     assert res.ties == res.impressions > 0
+
+
+def _listing(docs):
+    return RankedList("", [RankEntry(d, 0.0, i + 1) for i, d in enumerate(docs)])
+
+
+def _memoized(ranker):
+    cache = {}
+
+    def rank(terms, k):
+        key = (tuple(terms), k)
+        if key not in cache:
+            cache[key] = ranker(terms, k)
+        return cache[key]
+
+    return rank
+
+
+def _sometimes_reversed(ranker):
+    """A ranker whose list for the same terms changes from call to call.
+
+    A seeded coin decides each reversal; a fixed period could line up with
+    the sessions' query cycle and reverse the same terms every time.
+    """
+    coin = random.Random(0)
+
+    def rank(terms, k):
+        docs = ranker(terms, k).doc_ids()
+        return _listing(docs[::-1] if coin.random() < 0.5 else docs)
+
+    return rank
+
+
+@pytest.mark.parametrize("kind", ["memoizing", "fresh", "changing"])
+def test_interleaved_eval_matches_per_query_reference(small_world, kind):
+    corpus, fresh, intents = small_world
+    reversed_base = lambda terms, k: _listing(fresh(terms, k).doc_ids()[::-1])
+
+    def make():
+        if kind == "memoizing":
+            return base_ranker(corpus), _memoized(reversed_base)
+        if kind == "fresh":
+            return fresh, reversed_base
+        return _sometimes_reversed(fresh), reversed_base
+
+    behavior = UserBehavior(click_noise=0.1)
+    got = interleaved_eval(*make(), intents, behavior, n_sessions=60, seed=9)
+    want = interleaved_eval_per_query(*make(), intents, behavior, n_sessions=60, seed=9)
+    assert got == want
+    assert got.wins_a > 0 and got.wins_b > 0
+
+
+def test_interleaved_eval_memo_keys_on_intent(small_world):
+    # two intents share a query script but not their relevant docs: the
+    # cached grades of one must not serve the other
+    corpus, fresh, intents = small_world
+    script = intents[0].query_script
+    shown = [fresh(list(terms), 10).doc_ids() for terms in script]
+    twins = [Intent("top", {d: 1.0 for docs in shown for d in docs[:3]}, script),
+             Intent("bottom", {d: 1.0 for docs in shown for d in docs[-3:]}, script)]
+    reversed_base = lambda terms, k: _listing(fresh(terms, k).doc_ids()[::-1])
+    behavior = UserBehavior(click_noise=0.05)
+    got = interleaved_eval(fresh, reversed_base, twins, behavior, n_sessions=40, seed=4)
+    assert got == interleaved_eval_per_query(fresh, reversed_base, twins, behavior,
+                                             n_sessions=40, seed=4)
+    assert got.wins_a > 0 and got.wins_b > 0
+
+
+def test_interleaved_eval_needs_an_intent(small_world):
+    _, ranker, _ = small_world
+    with pytest.raises(DataError, match="at least one intent"):
+        interleaved_eval(ranker, ranker, [], UserBehavior(), n_sessions=1, seed=0)
+    assert interleaved_eval(ranker, ranker, [], UserBehavior(), n_sessions=0, seed=0).impressions == 0
 
 
 def test_intent_and_truth_serialization(small_world):
