@@ -8,8 +8,8 @@ window, as they do at the simulator's default `intent_gap`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 
 from .errors import DataError, json_lines, string, strings
 from .logs import ClickEvent, Event, QueryEvent, SearchLog, group_sessions
@@ -93,16 +93,13 @@ def segment_log(log: SearchLog, window_seconds: int = DEFAULT_WINDOW_SECONDS) ->
 
 
 def write_chains(chains: list[QueryChain]) -> str:
-    """JSON-lines: {"chain_id":...,"session":...,"qids":[...]}."""
-    lines = [
-        json.dumps(
-            {"chain_id": c.chain_id, "session": c.session_id, "qids": c.query_ids()},
-            ensure_ascii=False,
-            separators=(",", ":"),
-        )
+    """JSON-lines: {"chain_id":...,"session":...,"qids":[...]}, as `json.dumps` writes them."""
+    q = encode_basestring
+    return "".join(
+        f'{{"chain_id":{q(c.chain_id)},"session":{q(c.session_id)},'
+        f'"qids":[{",".join(q(qid) for qid in c.query_ids())}]}}\n'
         for c in chains
-    ]
-    return "".join(line + "\n" for line in lines)
+    )
 
 
 def read_chains(text: str, log: SearchLog) -> list[QueryChain]:

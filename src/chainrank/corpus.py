@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,67 +85,91 @@ class RankedList:
         return len(self.entries)
 
 
+class _Built:
+    """An index structure of `Corpus`, built with all the others on its first read.
+
+    A non-data descriptor: `Corpus._build` stores each structure in the
+    instance's `__dict__`, which shadows this descriptor from then on, so
+    every later read is a plain instance attribute.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, corpus, owner=None):
+        if corpus is None:
+            return self
+        corpus._build()
+        return corpus.__dict__[self.name]
+
+
 class Corpus:
     """Immutable document collection with an inverted index.
 
     `postings[term]` holds (doc_id, raw term frequency) pairs sorted by
     doc_id, where the raw frequency counts occurrences in title + body.
     Scoring structures (idf, doubled-title weights, document norms) are
-    precomputed at build time.  Instances are safe for concurrent reads.
+    built together with the postings on the first read of any of them, so a
+    stage that never retrieves never pays for them.  Instances are safe for
+    concurrent reads, the first one included: one thread builds, the others
+    wait for it.
     """
 
+    postings = _Built()
+    vocabulary = _Built()
+    _idf = _Built()
+    _weighted = _Built()
+    _norms = _Built()
+
     def __init__(self, documents: list[Document]):
+        self._build_lock = threading.Lock()
         self.documents: dict[str, Document] = {}
         for doc in sorted(documents, key=lambda d: d.doc_id):
             if doc.doc_id in self.documents:
                 raise DataError(f"duplicate doc_id: {doc.doc_id}")
             self.documents[doc.doc_id] = doc
 
-        postings: dict[str, list[tuple[str, int]]] = defaultdict(list)
-        weighted: dict[str, dict[str, int]] = defaultdict(dict)
-        for doc_id, doc in self.documents.items():
-            for term, n in Counter(doc.tokens).items():
-                postings[term].append((doc_id, n))
-                weighted[term][doc_id] = n
-            for term in doc.title_tokens:  # title tokens weighted double: one extra per title hit
-                weighted[term][doc_id] += 1
-        self.postings = {t: postings[t] for t in sorted(postings)}
-        self.vocabulary = set(self.postings)
+    def _build(self) -> None:
+        with self._build_lock:
+            if "_norms" in self.__dict__:  # stored last: every structure is there
+                return
+            postings: dict[str, list[tuple[str, int]]] = defaultdict(list)
+            weighted: dict[str, dict[str, int]] = defaultdict(dict)
+            for doc_id, doc in self.documents.items():
+                for term, n in Counter(doc.tokens).items():
+                    postings[term].append((doc_id, n))
+                    weighted[term][doc_id] = n
+                for term in doc.title_tokens:  # title tokens weighted double: one extra per title hit
+                    weighted[term][doc_id] += 1
+            sorted_postings = {t: postings[t] for t in sorted(postings)}
 
-        n_docs = len(self.documents)
-        self._idf = {
-            t: 1.0 + math.log((1 + n_docs) / (1 + len(plist)))
-            for t, plist in self.postings.items()
-        }
-        self._weighted = dict(weighted)
-        top = max((max(counts.values()) for counts in weighted.values()), default=0)
-        log_tf = [0.0] + [1.0 + math.log(n) for n in range(1, top + 1)]  # one log per count
-        # Terms in sorted order, so each document's squares add up in the
-        # order of its own sorted terms.
-        norm_sq = dict.fromkeys(self.documents, 0.0)
-        for term, idf in self._idf.items():
-            for doc_id, wtf in weighted[term].items():
-                w = log_tf[wtf] * idf
-                norm_sq[doc_id] += w * w
-        self._norms = {doc_id: math.sqrt(acc) for doc_id, acc in norm_sq.items()}
+            n_docs = len(self.documents)
+            idf = {
+                t: 1.0 + math.log((1 + n_docs) / (1 + len(plist)))
+                for t, plist in sorted_postings.items()
+            }
+            top = max((max(counts.values()) for counts in weighted.values()), default=0)
+            log_tf = [0.0] + [1.0 + math.log(n) for n in range(1, top + 1)]  # one log per count
+            # Terms in sorted order, so each document's squares add up in the
+            # order of its own sorted terms.
+            norm_sq = dict.fromkeys(self.documents, 0.0)
+            for term, t_idf in idf.items():
+                for doc_id, wtf in weighted[term].items():
+                    w = log_tf[wtf] * t_idf
+                    norm_sq[doc_id] += w * w
+            self.__dict__.update(
+                postings=sorted_postings,
+                vocabulary=set(sorted_postings),
+                _idf=idf,
+                _weighted=dict(weighted),
+                _norms={doc_id: math.sqrt(acc) for doc_id, acc in norm_sq.items()},
+            )
 
     def __len__(self) -> int:
         return len(self.documents)
 
     def doc_ids(self) -> list[str]:
         return list(self.documents)
-
-    def idf(self, term: str) -> float:
-        return self._idf.get(term, 1.0 + math.log(1 + len(self.documents)))
-
-    def doc_weight(self, term: str, doc_id: str) -> float:
-        wtf = self._weighted.get(term, {}).get(doc_id)
-        if wtf is None:
-            return 0.0
-        return (1.0 + math.log(wtf)) * self._idf[term]
-
-    def doc_norm(self, doc_id: str) -> float:
-        return self._norms[doc_id]
 
 
 def build_index(documents: list[Document]) -> Corpus:
@@ -161,15 +186,18 @@ def base_retrieve(corpus: Corpus, query_terms: list[str], k: int = DEFAULT_K) ->
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     counts = Counter(t for t in query_terms if t)
+    idf, weighted, norms = corpus._idf, corpus._weighted, corpus._norms
+    log = math.log
     scores: dict[str, float] = {}
     for term in sorted(counts):
-        plist = corpus.postings.get(term)
-        if not plist:
+        t_weighted = weighted.get(term)  # doc_id -> weighted count, in postings order
+        if t_weighted is None:
             continue
-        q_w = (1.0 + math.log(counts[term])) * corpus.idf(term)
-        for doc_id, _ in plist:
-            scores[doc_id] = scores.get(doc_id, 0.0) + q_w * corpus.doc_weight(term, doc_id)
-    scored = [(d, s / corpus.doc_norm(d)) for d, s in sorted(scores.items())]
+        t_idf = idf[term]
+        q_w = (1.0 + log(counts[term])) * t_idf
+        for doc_id, wtf in t_weighted.items():
+            scores[doc_id] = scores.get(doc_id, 0.0) + q_w * ((1.0 + log(wtf)) * t_idf)
+    scored = [(d, s / norms[d]) for d, s in sorted(scores.items())]
     scored.sort(key=lambda p: (-p[1], p[0]))
     return RankedList("", [RankEntry(d, s, i + 1) for i, (d, s) in enumerate(scored[:k])])
 

@@ -55,12 +55,14 @@ def json_object(text: str, what: str, version: int | None = None) -> dict:
 def json_lines(text: str, parse_record, source: str = "") -> list:
     """`parse_record` of each non-blank line's object, in order.
 
+    Lines end at "\n" only: json writes U+0085, U+2028 and U+2029 inside
+    strings unescaped, and `str.splitlines` would cut a record at them.
     Invalid JSON, a line that is not an object, and a KeyError, TypeError,
     ValueError or DataError from `parse_record` raise LogParseError naming
     the line (`source:line` when a source is given).
     """
     out = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

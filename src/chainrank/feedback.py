@@ -26,10 +26,10 @@ by (chain, strategy, generation order).
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 
 import numpy as np
 
@@ -198,17 +198,17 @@ def strategy_counts(prefs: list[Preference]) -> dict[str, int]:
 
 
 def write_preferences(prefs: list[Preference]) -> str:
-    """JSON-lines: {"pref":...,"over":...,"wrt":...,"strategy":"S1".."S6","chain":...}."""
-    lines = [
-        json.dumps(
-            {"pref": p.preferred_doc, "over": p.other_doc, "wrt": p.wrt_query,
-             "strategy": p.strategy.value, "chain": p.chain_id},
-            ensure_ascii=False,
-            separators=(",", ":"),
-        )
+    """JSON-lines: {"pref":...,"over":...,"wrt":...,"strategy":"S1".."S6","chain":...}.
+
+    Each line is the `json.dumps` of its record (ensure_ascii=False, no
+    spaces), written with json's own string encoder.
+    """
+    q = encode_basestring
+    return "".join(
+        f'{{"pref":{q(p.preferred_doc)},"over":{q(p.other_doc)},"wrt":{q(p.wrt_query)},'
+        f'"strategy":{q(p.strategy.value)},"chain":{q(p.chain_id)}}}\n'
         for p in prefs
-    ]
-    return "".join(line + "\n" for line in lines)
+    )
 
 
 def read_preferences(text: str) -> list[Preference]:

@@ -12,8 +12,8 @@ Field order is canonical, so `write_log` is byte-deterministic and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 from typing import Union
 
 from .errors import DataError, json_lines, string, strings
@@ -120,28 +120,23 @@ def parse_log(text: str) -> SearchLog:
 
 
 def write_log(log: SearchLog) -> str:
-    """Serialize to canonical JSON-lines. parse_log(write_log(x)) == x."""
+    """Serialize to canonical JSON-lines. parse_log(write_log(x)) == x.
+
+    Each line is the `json.dumps(rec, ensure_ascii=False, separators=(",", ":"))`
+    of its record, written with json's own string and int encoders.
+    """
+    q, n = encode_basestring, int.__repr__
     out = []
     for ev in log.events:
         if isinstance(ev, QueryEvent):
-            rec = {
-                "type": "query",
-                "qid": ev.query_id,
-                "session": ev.session_id,
-                "t": ev.timestamp,
-                "terms": ev.terms,
-                "results": [{"doc": d, "abstract": a} for d, a in ev.results],
-            }
+            terms = ",".join(map(q, ev.terms))
+            results = ",".join(f'{{"doc":{q(d)},"abstract":{q(a)}}}' for d, a in ev.results)
+            out.append(f'{{"type":"query","qid":{q(ev.query_id)},"session":{q(ev.session_id)},'
+                       f'"t":{n(ev.timestamp)},"terms":[{terms}],"results":[{results}]}}\n')
         else:
-            rec = {
-                "type": "click",
-                "qid": ev.query_id,
-                "doc": ev.doc_id,
-                "rank": ev.rank,
-                "t": ev.timestamp,
-            }
-        out.append(json.dumps(rec, ensure_ascii=False, separators=(",", ":")))
-    return "".join(line + "\n" for line in out)
+            out.append(f'{{"type":"click","qid":{q(ev.query_id)},"doc":{q(ev.doc_id)},'
+                       f'"rank":{n(ev.rank)},"t":{n(ev.timestamp)}}}\n')
+    return "".join(out)
 
 
 def group_sessions(log: SearchLog) -> dict[str, list[Event]]:

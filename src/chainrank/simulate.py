@@ -257,6 +257,8 @@ def interleaved_eval(
     per call; the rankings key the memo, so a ranker may return different
     lists for the same terms.
     """
+    if n_sessions < 0:
+        raise DataError("n_sessions must be non-negative")
     if not intents and n_sessions > 0:
         raise DataError("need at least one intent")
     result = PairEvalResult()

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
 import numpy as np
+from hypothesis import strategies as st
 
 from chainrank.corpus import Document
 from chainrank.interleave import attribute, combine
-from chainrank.logs import ClickEvent, QueryEvent
+from chainrank.logs import ClickEvent, QueryEvent, SearchLog
 from chainrank.simulate import Intent, PairEvalResult, _satisfied, scan_and_click
 
 
@@ -22,6 +24,48 @@ def make_query(qid, session, t, terms, docs, abstracts=None):
 def make_click(query: QueryEvent, rank: int, t: int | None = None) -> ClickEvent:
     doc = query.result_docs()[rank - 1]
     return ClickEvent(query.query_id, doc, rank, query.timestamp if t is None else t)
+
+
+# Any code point, lone surrogates included, plus the characters json treats
+# specially or writes unescaped although str.splitlines breaks lines at them.
+ANY_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.sampled_from(['"', "\\", "\n", "\r\n", "\x00", "\x1f", "\x7f", "\x85", "\u2028",
+                     "\u2029", "\ud800", "\udfff", "naïve", "😀", "\\u0041"]),
+)
+
+
+def json_line(rec: dict) -> str:
+    """One JSON-lines record as the standard library writes it: no spaces, non-ASCII kept."""
+    return json.dumps(rec, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def reference_write_log(log: SearchLog) -> str:
+    """The log's wire format by its definition: one json.dumps per event, fields in order."""
+    out = []
+    for ev in log.events:
+        if isinstance(ev, QueryEvent):
+            out.append(json_line({"type": "query", "qid": ev.query_id, "session": ev.session_id,
+                                  "t": ev.timestamp, "terms": ev.terms,
+                                  "results": [{"doc": d, "abstract": a} for d, a in ev.results]}))
+        else:
+            out.append(json_line({"type": "click", "qid": ev.query_id, "doc": ev.doc_id,
+                                  "rank": ev.rank, "t": ev.timestamp}))
+    return "".join(out)
+
+
+def reference_write_preferences(prefs) -> str:
+    """The preference wire format by its definition: one json.dumps per preference."""
+    return "".join(json_line({"pref": p.preferred_doc, "over": p.other_doc, "wrt": p.wrt_query,
+                              "strategy": p.strategy.value, "chain": p.chain_id})
+                   for p in prefs)
+
+
+def reference_write_chains(chains) -> str:
+    """The chain wire format by its definition: one json.dumps per chain."""
+    return "".join(json_line({"chain_id": c.chain_id, "session": c.session_id,
+                              "qids": c.query_ids()})
+                   for c in chains)
 
 
 def hinge_objective_dense(W: np.ndarray, deltas: np.ndarray, C: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 import concurrent.futures
 import math
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -16,6 +18,7 @@ from chainrank.corpus import (
     tokenize,
 )
 from chainrank.errors import DataError
+from chainrank.fixtures import make_fixture
 from helpers import naive_index, naive_retrieve, split_tokenize
 
 
@@ -133,6 +136,37 @@ def test_deterministic_across_builds_and_threads(toy_docs):
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: base_retrieve(c1, query, 10).doc_ids(), range(32)))
     assert all(r == expected for r in results)
+
+
+def test_first_build_races_safely():
+    # a corpus is built on its first read; eight threads make that read at once
+    docs, intents = make_fixture(300, 13)
+    queries = [list(terms) for it in intents for terms in it.query_script] + [["guide", "absent"]]
+    serial = build_index(docs)
+    expected = [[(e.doc_id, e.score) for e in base_retrieve(serial, q, 20).entries]
+                for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            corpus = build_index(docs)
+            assert "postings" not in corpus.__dict__
+            start = threading.Barrier(8, timeout=30)
+
+            def run(_):
+                start.wait()
+                got = [[(e.doc_id, e.score) for e in base_retrieve(corpus, q, 20).entries]
+                       for q in queries]
+                return got, corpus._norms
+
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, i) for i in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+            assert all(got == expected for got, _ in results)
+            assert all(norms is corpus._norms for _, norms in results)  # built once
+            assert corpus.postings == serial.postings
+    finally:
+        sys.setswitchinterval(interval)
 
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainrank.chains import QueryChain, segment_log
 from chainrank.errors import DataError
@@ -14,7 +16,7 @@ from chainrank.feedback import (
     write_preferences,
 )
 from chainrank.logs import SearchLog
-from helpers import make_click, make_query
+from helpers import ANY_TEXT, make_click, make_query, reference_write_preferences
 
 
 def pair_set(prefs, strategy=None):
@@ -250,3 +252,15 @@ def test_preferences_jsonl_round_trip():
     text = write_preferences(prefs)
     assert read_preferences(text) == prefs
     assert write_preferences(read_preferences(text)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefs=st.lists(
+    st.tuples(ANY_TEXT, ANY_TEXT, ANY_TEXT, st.sampled_from(list(Strategy)), ANY_TEXT)
+    .filter(lambda f: f[0] != f[1]).map(lambda f: Preference(*f)),
+    max_size=8,
+))
+def test_write_preferences_matches_json_dumps_and_round_trips(prefs):
+    text = write_preferences(prefs)
+    assert text == reference_write_preferences(prefs)
+    assert read_preferences(text) == prefs

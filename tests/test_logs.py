@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainrank.chains import read_chains, segment_log, write_chains
 from chainrank.errors import DataError, LogParseError
 from chainrank.logs import (
     ClickEvent,
@@ -11,7 +12,24 @@ from chainrank.logs import (
     parse_log,
     write_log,
 )
-from helpers import make_click, make_query
+from helpers import ANY_TEXT, make_click, make_query, reference_write_chains, reference_write_log
+
+@st.composite
+def search_logs(draw):
+    """A valid log: each query followed by clicks on its own results, time never decreasing."""
+    sessions = draw(st.lists(ANY_TEXT, min_size=1, max_size=3))
+    events, t = [], draw(st.integers(0, 2**40))
+    for i in range(draw(st.integers(0, 6))):
+        results = draw(st.lists(st.tuples(ANY_TEXT, ANY_TEXT), max_size=4,
+                                unique_by=lambda r: r[0]))
+        q = QueryEvent(draw(ANY_TEXT) + f"#{i}", draw(st.sampled_from(sessions)), t,
+                       draw(st.lists(ANY_TEXT, max_size=3)), results)
+        events.append(q)
+        for rank in draw(st.lists(st.integers(1, len(results)), max_size=3)) if results else []:
+            t += draw(st.integers(0, 2**33))
+            events.append(ClickEvent(q.query_id, results[rank - 1][0], rank, t))
+        t += draw(st.integers(0, 2**33))
+    return SearchLog(events)
 
 
 def test_empty_stream():
@@ -155,3 +173,15 @@ def test_group_sessions_stable_under_session_preserving_shuffle(data):
     groups = group_sessions(SearchLog(merged))
     for sid, events in per_session.items():
         assert groups[sid] == events
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=search_logs())
+def test_writers_match_json_dumps_and_round_trip(log):
+    text = write_log(log)
+    assert text == reference_write_log(log)
+    assert parse_log(text) == log
+    chains = segment_log(log)
+    chains_text = write_chains(chains)
+    assert chains_text == reference_write_chains(chains)
+    assert read_chains(chains_text, log) == chains

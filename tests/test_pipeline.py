@@ -15,12 +15,16 @@ from chainrank.fixtures import documents_to_jsonl, make_fixture
 from chainrank.fixtures import main as fixtures_main
 from chainrank.pipeline import (
     BASE_FN,
+    DiskStore,
     ExperimentConfig,
     base_ranker,
     build_constraints,
     make_report,
     run_experiment,
     run_stage,
+    stage_index,
+    stage_prefs,
+    stage_simulate,
 )
 from chainrank.simulate import PairEvalResult, UserBehavior, simulate, write_intents
 from chainrank.solver import model_to_json
@@ -89,6 +93,20 @@ def test_stage_rerun_byte_identical(cfg):
     run_stage("report", cfg)
     for name in artifacts:
         assert cfg.path(name).read_bytes() == before[name], name
+
+
+def test_only_retrieving_stages_build_the_index(cfg):
+    store = DiskStore(cfg)
+    stage_index(cfg, store)
+    assert "postings" not in store["index"].__dict__
+    store = DiskStore(cfg)
+    stage_simulate(cfg, store)
+    assert "postings" in store["index"].__dict__  # the probe sees a build
+    run_stage("chains", cfg)
+    for mode in ("qc", "nc"):
+        store = DiskStore(cfg)
+        stage_prefs(cfg, store, mode)
+        assert "postings" not in store["index"].__dict__
 
 
 def test_missing_artifact_named_error(cfg):

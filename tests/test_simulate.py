@@ -267,6 +267,13 @@ def test_interleaved_eval_needs_an_intent(small_world):
     assert interleaved_eval(ranker, ranker, [], UserBehavior(), n_sessions=0, seed=0).impressions == 0
 
 
+def test_interleaved_eval_refuses_negative_sessions(small_world):
+    _, ranker, intents = small_world
+    for its in (intents, []):  # the sign is checked before the intents
+        with pytest.raises(DataError, match="n_sessions must be non-negative"):
+            interleaved_eval(ranker, ranker, its, UserBehavior(), n_sessions=-5, seed=0)
+
+
 def test_intent_and_truth_serialization(small_world):
     _, _, intents = small_world
     text = write_intents(intents)
