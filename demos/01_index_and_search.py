@@ -20,7 +20,7 @@ docs = [
 header("Index")
 corpus = build_index(docs)
 print(f"{len(corpus)} documents, {len(corpus.vocabulary)} distinct terms")
-print("postings for 'books':", corpus.postings["books"])
+print("terms:", " ".join(sorted(corpus.vocabulary)))
 
 header("Queries")
 for query in (["rare", "books"], ["special", "collections"], ["tea"]):

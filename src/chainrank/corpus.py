@@ -85,68 +85,50 @@ class RankedList:
         return len(self.entries)
 
 
-class _Built:
-    """An index structure of `Corpus`, built with all the others on its first read.
-
-    A non-data descriptor: `Corpus._build` stores each structure in the
-    instance's `__dict__`, which shadows this descriptor from then on, so
-    every later read is a plain instance attribute.
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, corpus, owner=None):
-        if corpus is None:
-            return self
-        corpus._build()
-        return corpus.__dict__[self.name]
-
-
 class Corpus:
     """Immutable document collection with an inverted index.
 
-    `postings[term]` holds (doc_id, raw term frequency) pairs sorted by
-    doc_id, where the raw frequency counts occurrences in title + body.
-    Scoring structures (idf, doubled-title weights, document norms) are
-    built together with the postings on the first read of any of them, so a
-    stage that never retrieves never pays for them.  Instances are safe for
-    concurrent reads, the first one included: one thread builds, the others
-    wait for it.
+    The index maps each term to {doc_id: weighted term frequency}, the
+    count of the term in title + body plus one per title occurrence (title
+    tokens count double), with doc_ids in sorted order.  It is built with
+    the idf and document norms on the first retrieval, so a stage that never
+    retrieves never pays for it.  Instances are safe for concurrent reads,
+    the first one included: one thread builds, the others wait for it.
     """
-
-    postings = _Built()
-    vocabulary = _Built()
-    _idf = _Built()
-    _weighted = _Built()
-    _norms = _Built()
 
     def __init__(self, documents: list[Document]):
         self._build_lock = threading.Lock()
+        self._built = None
         self.documents: dict[str, Document] = {}
         for doc in sorted(documents, key=lambda d: d.doc_id):
             if doc.doc_id in self.documents:
                 raise DataError(f"duplicate doc_id: {doc.doc_id}")
             self.documents[doc.doc_id] = doc
 
-    def _build(self) -> None:
+    @property
+    def vocabulary(self):
+        """The indexed terms: a keys view, which compares equal to a set."""
+        return self._index()[1].keys()
+
+    def _index(self) -> tuple[dict[str, float], dict[str, dict[str, int]], dict[str, float]]:
+        """(idf, weighted index, norms), built on the first call and the same object after."""
+        built = self._built  # read without the lock: once set, it never changes
+        if built is not None:
+            return built
         with self._build_lock:
-            if "_norms" in self.__dict__:  # stored last: every structure is there
-                return
-            postings: dict[str, list[tuple[str, int]]] = defaultdict(list)
+            if self._built is not None:  # another thread built it while this one waited
+                return self._built
             weighted: dict[str, dict[str, int]] = defaultdict(dict)
             for doc_id, doc in self.documents.items():
                 for term, n in Counter(doc.tokens).items():
-                    postings[term].append((doc_id, n))
                     weighted[term][doc_id] = n
                 for term in doc.title_tokens:  # title tokens weighted double: one extra per title hit
                     weighted[term][doc_id] += 1
-            sorted_postings = {t: postings[t] for t in sorted(postings)}
 
             n_docs = len(self.documents)
             idf = {
-                t: 1.0 + math.log((1 + n_docs) / (1 + len(plist)))
-                for t, plist in sorted_postings.items()
+                t: 1.0 + math.log((1 + n_docs) / (1 + len(weighted[t])))
+                for t in sorted(weighted)
             }
             top = max((max(counts.values()) for counts in weighted.values()), default=0)
             log_tf = [0.0] + [1.0 + math.log(n) for n in range(1, top + 1)]  # one log per count
@@ -157,13 +139,9 @@ class Corpus:
                 for doc_id, wtf in weighted[term].items():
                     w = log_tf[wtf] * t_idf
                     norm_sq[doc_id] += w * w
-            self.__dict__.update(
-                postings=sorted_postings,
-                vocabulary=set(sorted_postings),
-                _idf=idf,
-                _weighted=dict(weighted),
-                _norms={doc_id: math.sqrt(acc) for doc_id, acc in norm_sq.items()},
-            )
+            norms = {doc_id: math.sqrt(acc) for doc_id, acc in norm_sq.items()}
+            self._built = (idf, dict(weighted), norms)
+            return self._built
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -186,11 +164,11 @@ def base_retrieve(corpus: Corpus, query_terms: list[str], k: int = DEFAULT_K) ->
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     counts = Counter(t for t in query_terms if t)
-    idf, weighted, norms = corpus._idf, corpus._weighted, corpus._norms
+    idf, weighted, norms = corpus._index()
     log = math.log
     scores: dict[str, float] = {}
     for term in sorted(counts):
-        t_weighted = weighted.get(term)  # doc_id -> weighted count, in postings order
+        t_weighted = weighted.get(term)  # doc_id -> weighted count, by doc_id
         if t_weighted is None:
             continue
         t_idf = idf[term]

@@ -180,7 +180,8 @@ class DiskStore:
 
     Reading an artifact checks that it exists and that its sidecar carries
     the current version, then parses it, at most once per store.  Every
-    DataError from reading an artifact or input names its file.
+    DataError from reading an artifact or input names its file, and an
+    OSError from that read is a StageError that names it.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -220,6 +221,8 @@ class DiskStore:
             read = lambda: fmt.parse(path.read_text(encoding="utf-8"), *upstream)
         try:
             return read()
+        except OSError as exc:  # say, a directory where the file should be
+            raise StageError(f"cannot read {path}: {exc.strerror or exc}") from exc
         except (DataError, UnicodeDecodeError) as exc:
             if str(path) in str(exc):  # the reader named the file already
                 raise

@@ -38,6 +38,7 @@ from .logs import ClickEvent, QueryEvent, SearchLog
 
 Ranker = Callable[[list[str], int], RankedList]
 
+INTENTS_VERSION = 1
 SESSION_GAP_SECONDS = 86400  # distinct sessions sit at least a day apart
 
 
@@ -315,7 +316,7 @@ def read_truth(text: str) -> list[TruthRecord]:
 
 def write_intents(intents: list[Intent]) -> str:
     payload = {
-        "version": 1,
+        "version": INTENTS_VERSION,
         "intents": [
             {
                 "intent_id": it.intent_id,
@@ -329,7 +330,7 @@ def write_intents(intents: list[Intent]) -> str:
 
 
 def read_intents(text: str) -> list[Intent]:
-    payload = json_object(text, "intent file", version=1)
+    payload = json_object(text, "intent file", INTENTS_VERSION)
     with malformed("intent file"):
         intents = [
             Intent(

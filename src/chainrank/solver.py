@@ -461,6 +461,8 @@ def model_from_json(text: str) -> Model:
     """Parse a model artifact; malformed text or fields raise DataError."""
     payload = json_object(text, "model artifact", MODEL_VERSION)
     with malformed("model artifact"):
+        if payload["thresholds"] != list(RANK_THRESHOLDS):  # the rank weights would mean other ranks
+            raise DataError(f"malformed model artifact: thresholds must be {list(RANK_THRESHOLDS)}")
         space = FeatureSpace(tuple(payload["base_functions"]))
         weights = []
         for fn in space.base_functions:

@@ -63,7 +63,7 @@ def test_empty_document_set():
 def test_single_doc_vocabulary():
     corpus = build_index([Document("d1", "rare books", "")])
     assert corpus.vocabulary == {"rare", "books"}
-    assert len(corpus.postings) == 2
+    assert corpus._index()[1] == {"rare": {"d1": 2}, "books": {"d1": 2}}  # title counts double
 
 
 def test_duplicate_doc_id_rejected():
@@ -73,14 +73,16 @@ def test_duplicate_doc_id_rejected():
 
 
 def test_postings_match_linear_scan(toy_docs, toy_corpus):
+    # the weighted postings: title + body count, plus one per title occurrence
     counts = Counter()
     for d in toy_docs:
-        for tok in tokenize(d.title) + tokenize(d.body):
+        for tok in tokenize(d.title) * 2 + tokenize(d.body):
             counts[(tok, d.doc_id)] += 1
     seen = set()
-    for term, plist in toy_corpus.postings.items():
-        for doc_id, tf in plist:
-            assert tf == counts[(term, doc_id)]
+    for term, plist in toy_corpus._index()[1].items():
+        assert list(plist) == sorted(plist)
+        for doc_id, wtf in plist.items():
+            assert wtf == counts[(term, doc_id)]
             seen.add((term, doc_id))
     assert seen == set(counts)
 
@@ -130,7 +132,7 @@ def test_every_hit_contains_a_query_term(toy_docs, toy_corpus):
 
 def test_deterministic_across_builds_and_threads(toy_docs):
     c1, c2 = build_index(toy_docs), build_index(toy_docs)
-    assert c1.postings == c2.postings
+    assert c1._index() == c2._index()
     query = ["rare", "collections"]
     expected = base_retrieve(c1, query, 10).doc_ids()
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
@@ -150,21 +152,22 @@ def test_first_build_races_safely():
     try:
         for _ in range(3):
             corpus = build_index(docs)
-            assert "postings" not in corpus.__dict__
+            assert corpus._built is None
             start = threading.Barrier(8, timeout=30)
 
             def run(_):
                 start.wait()
+                built = corpus._index()
                 got = [[(e.doc_id, e.score) for e in base_retrieve(corpus, q, 20).entries]
                        for q in queries]
-                return got, corpus._norms
+                return got, built
 
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(run, i) for i in range(8)]
                 results = [f.result(timeout=60) for f in futures]
             assert all(got == expected for got, _ in results)
-            assert all(norms is corpus._norms for _, norms in results)  # built once
-            assert corpus.postings == serial.postings
+            assert all(built is corpus._index() for _, built in results)  # built once
+            assert corpus._index() == serial._index()
     finally:
         sys.setswitchinterval(interval)
 
@@ -214,11 +217,11 @@ def test_index_matches_naive_builder(fields, queries):
     docs = [Document(f"d{i:02d}", title, body) for i, (title, body) in enumerate(fields)]
     corpus = build_index(docs[::-1])
     oracle = naive_index(docs)
-    assert corpus.postings == oracle["postings"]
+    idf, weighted, norms = corpus._index()
     assert corpus.vocabulary == set(oracle["postings"])
-    assert corpus._idf == oracle["idf"]
-    assert corpus._weighted == oracle["weighted"]
-    assert corpus._norms == oracle["norms"]  # float ==: equal to the bit
+    assert idf == oracle["idf"]
+    assert weighted == oracle["weighted"]
+    assert norms == oracle["norms"]  # float ==: equal to the bit
     for query in queries + [[term] for term in oracle["postings"]]:
         terms = [t for w in query for t in split_tokenize(w)]
         got = base_retrieve(corpus, terms, 5)

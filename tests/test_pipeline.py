@@ -98,15 +98,15 @@ def test_stage_rerun_byte_identical(cfg):
 def test_only_retrieving_stages_build_the_index(cfg):
     store = DiskStore(cfg)
     stage_index(cfg, store)
-    assert "postings" not in store["index"].__dict__
+    assert store["index"]._built is None
     store = DiskStore(cfg)
     stage_simulate(cfg, store)
-    assert "postings" in store["index"].__dict__  # the probe sees a build
+    assert store["index"]._built is not None  # the probe sees a build
     run_stage("chains", cfg)
     for mode in ("qc", "nc"):
         store = DiskStore(cfg)
         stage_prefs(cfg, store, mode)
-        assert "postings" not in store["index"].__dict__
+        assert store["index"]._built is None
 
 
 def test_missing_artifact_named_error(cfg):
@@ -257,6 +257,23 @@ def test_cli_config_directory_exits_2(tmp_path, capsys):
     assert str(tmp_path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("upstream, stage, file_of", [
+    (["index"], "simulate", lambda cfg: Path(cfg.intents)),
+    (["index", "simulate"], "prefs", lambda cfg: cfg.path("chains.jsonl")),
+], ids=["intents", "chains-artifact"])
+def test_cli_directory_for_file_exits_2(cfg, capsys, upstream, stage, file_of):
+    config_path = str(cfg.config_path)
+    for name in upstream:
+        assert cli_main([name, "--config", config_path]) == 0
+    path = file_of(cfg)
+    path.unlink(missing_ok=True)
+    path.mkdir()
+    capsys.readouterr()
+    assert cli_main([stage, "--config", config_path]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_cli_workdir_is_file_exits_2(cfg, tmp_path, capsys):
     workdir = tmp_path / "not-a-dir"
     workdir.write_text("")
@@ -361,6 +378,12 @@ def _drop_term_doc_weights(text):
     return json.dumps(payload)
 
 
+def _foreign_thresholds(text):
+    payload = json.loads(text)
+    payload["thresholds"] = list(range(2, 30))
+    return json.dumps(payload)
+
+
 def _drop_first_title(text):
     payload = json.loads(text)
     del payload["documents"][0]["title"]
@@ -370,8 +393,10 @@ def _drop_first_title(text):
 @pytest.mark.parametrize("artifact, corrupt, named", [
     ("model_qc.json", lambda text: text[: len(text) // 2], "model artifact"),
     ("model_qc.json", _drop_term_doc_weights, "model artifact"),
+    ("model_qc.json", _foreign_thresholds, "model artifact"),
     ("index.json", _drop_first_title, "index artifact"),
-], ids=["truncated-model", "model-without-term-weights", "index-record-without-title"])
+], ids=["truncated-model", "model-without-term-weights", "model-with-foreign-thresholds",
+        "index-record-without-title"])
 def test_cli_malformed_artifact_is_data_error(trained_workdir, tmp_path, capsys, artifact,
                                               corrupt, named):
     cfg_path, workdir = trained_workdir
