@@ -13,20 +13,16 @@ from chainrank.feedback import strategy_counts
 # One session: a failing query (typo, zero results), its correction with a
 # click, then an unrelated query an hour later.
 q_typo = QueryEvent("q1", "alice", 0, ["spectrograf"], [])
-q_fixed = QueryEvent("q2", "alice", 45, ["spectrograph"], [
-    ("astro-1", "spectrograph basics"), ("astro-2", "calibration notes"),
-    ("astro-3", "instrument overview"),
-])
+q_fixed = QueryEvent("q2", "alice", 45, ["spectrograph"], ["astro-1", "astro-2", "astro-3"])
 click = ClickEvent("q2", "astro-1", 1, 46)
-q_later = QueryEvent("q3", "alice", 45 + 7200, ["opening", "hours"],
-                     [("hours", "reading room hours")])
+q_later = QueryEvent("q3", "alice", 45 + 7200, ["opening", "hours"], ["hours"])
 log = SearchLog([q_typo, q_fixed, click, q_later])
 
 chains = segment_log(log, window_seconds=1800)
 print("chains:", [(c.chain_id, c.query_ids()) for c in chains])
 
 prefs = prefs_for_log(log, chains, mode="qc",
-                      padding_pool=[d for d, _ in q_fixed.results] + ["misc-1", "misc-2"],
+                      padding_pool=q_fixed.results + ["misc-1", "misc-2"],
                       seed=1)
 print("\npreferences (all six strategies considered):")
 for p in prefs:

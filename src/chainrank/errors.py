@@ -62,14 +62,15 @@ def json_lines(text: str, parse_record, source: str = "") -> list:
     the line (`source:line` when a source is given).
     """
     out = []
+    decode, append = _DECODER.decode, out.append
     for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if not line or line.isspace():  # the test `not line.strip()` makes, without a copy
             continue
         try:
-            rec = _DECODER.decode(line)
+            rec = decode(line)
             if not isinstance(rec, dict):
                 raise DataError("not a JSON object")
-            out.append(parse_record(rec))
+            append(parse_record(rec))
         except json.JSONDecodeError as exc:
             raise LogParseError(line_no, f"invalid JSON at col {exc.colno}: {exc.msg}",
                                 source) from exc
@@ -98,7 +99,10 @@ def string(value) -> str:
 
 
 def strings(value) -> list[str]:
-    """A list of strings, or a TypeError."""
+    """`value` itself if it is a list of strings; a TypeError otherwise."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list of strings, got {value!r}")
-    return [string(v) for v in value]
+    for v in value:
+        if not isinstance(v, str):
+            string(v)  # raises string()'s TypeError
+    return value

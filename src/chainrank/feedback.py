@@ -82,7 +82,7 @@ def prefs_within_query(
     """
     skip_above, first_not_second = strategies
     wrt = wrt_query if wrt_query is not None else q.query_id
-    docs = q.result_docs()
+    docs = q.results
     clicked_ranks = {c.rank for c in clicks}
     out: list[Preference] = []
     for c in clicks:
@@ -100,7 +100,7 @@ def _earlier_query_targets(
     q_earlier: QueryEvent, clicks_earlier: list[ClickEvent]
 ) -> tuple[Strategy, list[str], int]:
     """Unclicked target docs in the earlier query, plus how many pads are owed."""
-    docs = q_earlier.result_docs()
+    docs = q_earlier.results
     if clicks_earlier:
         last = max(c.rank for c in clicks_earlier)
         clicked = {c.doc_id for c in clicks_earlier}
@@ -156,7 +156,7 @@ def prefs_cross_query(
                     if t != cd:
                         out.append(Preference(cd, t, q_e.query_id, strategy, chain.chain_id))
                 for _ in range(n_pad):
-                    pad = _draw_pad(rng, pool, set(q_e.result_docs()) | {cd})
+                    pad = _draw_pad(rng, pool, set(q_e.results) | {cd})
                     if pad is not None:
                         out.append(Preference(cd, pad, q_e.query_id, strategy, chain.chain_id))
     return out
@@ -211,8 +211,18 @@ def write_preferences(prefs: list[Preference]) -> str:
     )
 
 
+_STRATEGY_OF = {s.value: s for s in Strategy}
+
+
+def _strategy(value) -> Strategy:
+    try:
+        return _STRATEGY_OF[value]
+    except (KeyError, TypeError):  # not "S1".."S6": the enum raises its ValueError
+        return Strategy(value)
+
+
 def read_preferences(text: str) -> list[Preference]:
     return json_lines(text, lambda rec: Preference(
         string(rec["pref"]), string(rec["over"]), string(rec["wrt"]),
-        Strategy(rec["strategy"]), string(rec["chain"]),
+        _strategy(rec["strategy"]), string(rec["chain"]),
     ))

@@ -1,10 +1,16 @@
 """Canonical query/click log schema, JSON-lines persistence, session grouping.
 
-Wire format is one JSON object per line, UTF-8, LF line endings:
+Wire format (log version LOG_VERSION) is one JSON object per line, UTF-8,
+LF line endings:
 
     {"type":"query","qid":...,"session":...,"t":...,"terms":[...],
-     "results":[{"doc":...,"abstract":...}, ...]}
+     "results":["d1","d2",...]}
     {"type":"click","qid":...,"doc":...,"rank":...,"t":...}
+
+A query's "results" are the ids of the documents it showed, in rank order;
+that, and which of them were clicked, is all the preference strategies
+read.  The log's sidecar carries LOG_VERSION, and the pipeline refuses a
+log of any other version.
 
 Field order is canonical, so `write_log` is byte-deterministic and
 `parse_log(write_log(log)) == log`.
@@ -18,6 +24,7 @@ from typing import Union
 
 from .errors import DataError, json_lines, string, strings
 
+LOG_VERSION = 2  # stamped in the log artifact's sidecar
 MAX_RESULTS = 100
 
 
@@ -27,19 +34,15 @@ class QueryEvent:
     session_id: str
     timestamp: int
     terms: list[str]
-    results: list[tuple[str, str]] = field(default_factory=list)  # (doc_id, abstract)
+    results: list[str] = field(default_factory=list)  # shown doc ids, in rank order
 
     def __post_init__(self):
         if self.timestamp < 0:
             raise DataError(f"query {self.query_id}: negative timestamp")
         if len(self.results) > MAX_RESULTS:
             raise DataError(f"query {self.query_id}: more than {MAX_RESULTS} results")
-        docs = [d for d, _ in self.results]
-        if len(set(docs)) != len(docs):
+        if len(set(self.results)) != len(self.results):
             raise DataError(f"query {self.query_id}: duplicate doc in results")
-
-    def result_docs(self) -> list[str]:
-        return [d for d, _ in self.results]
 
 
 @dataclass
@@ -67,7 +70,7 @@ class SearchLog:
 
 
 def _check_click(click: ClickEvent, query: QueryEvent) -> None:
-    docs = query.result_docs()
+    docs = query.results
     if not 1 <= click.rank <= len(docs):
         raise DataError(
             f"click on {click.doc_id}: rank {click.rank} outside results of "
@@ -98,7 +101,7 @@ def parse_log(text: str) -> SearchLog:
                 session_id=string(rec["session"]),
                 timestamp=int(rec["t"]),
                 terms=strings(rec["terms"]),
-                results=[(string(r["doc"]), string(r["abstract"])) for r in rec["results"]],
+                results=strings(rec["results"]),
             )
             queries[ev.query_id] = ev
             session = ev.session_id
@@ -130,7 +133,7 @@ def write_log(log: SearchLog) -> str:
     for ev in log.events:
         if isinstance(ev, QueryEvent):
             terms = ",".join(map(q, ev.terms))
-            results = ",".join(f'{{"doc":{q(d)},"abstract":{q(a)}}}' for d, a in ev.results)
+            results = ",".join(map(q, ev.results))
             out.append(f'{{"type":"query","qid":{q(ev.query_id)},"session":{q(ev.session_id)},'
                        f'"t":{n(ev.timestamp)},"terms":[{terms}],"results":[{results}]}}\n')
         else:

@@ -15,9 +15,11 @@ derived from (config seed, stage number).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import numbers
+import os
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -31,7 +33,7 @@ from .errors import DataError, StageError, json_object, malformed
 from .features import N_RANK_FEATURES, RANK_THRESHOLDS, FeatureSpace, SparseVector
 from .feedback import Preference, prefs_for_log, read_preferences, strategy_counts, write_preferences
 from .interleave import sign_test
-from .logs import SearchLog, parse_log, write_log
+from .logs import LOG_VERSION, SearchLog, parse_log, write_log
 from .ranking import BASE_DEPTH, RerankRequest, ScoredEntry, ScoredRanking, rerank
 from .simulate import (Intent, PairEvalResult, UserBehavior, interleaved_eval, read_intents,
                        read_truth, simulate, write_truth)
@@ -145,12 +147,13 @@ class _Format:
     parse: Callable[..., Any]  # artifact text, then the artifacts named in `needs`
     needs: tuple[str, ...] = ()
     sidecar: bool = True  # a .meta.json next to the file; index and models carry their own version
+    version: int = ARTIFACT_VERSION  # the version its sidecar stamps and requires
 
 
 # Keyed by the artifact name up to its first "_": prefs_qc, model_nc, eval_qc_vs_base, ...
 _FORMATS = {
     "index": _Format(".json", "index", index_to_json, index_from_json, sidecar=False),
-    "log": _Format(".jsonl", "simulate", write_log, parse_log),
+    "log": _Format(".jsonl", "simulate", write_log, parse_log, version=LOG_VERSION),
     "truth": _Format(".jsonl", "simulate", write_truth, read_truth),
     "chains": _Format(".jsonl", "chains", write_chains, read_chains, needs=("log",)),
     "prefs": _Format(".jsonl", "prefs", write_preferences, read_preferences),
@@ -168,6 +171,35 @@ _INPUTS = {
 }
 
 
+def _read(path: Path, read: Callable[[], Any]):
+    """`read()`, with its DataError naming `path` and an OSError as a StageError."""
+    try:
+        return read()
+    except OSError as exc:  # say, a directory where the file should be
+        raise StageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (DataError, UnicodeDecodeError) as exc:
+        if str(path) in str(exc):  # the reader named the file already
+            raise
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it into place.
+
+    A failed write leaves whatever `path` held and no temporary file.  The
+    rename survives a crash of the process; nothing is fsynced, so it does
+    not promise to survive a power loss.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
 class MemoryStore(dict):
     """Artifacts as live objects keyed by name; `put` drops the provenance meta."""
 
@@ -179,7 +211,7 @@ class DiskStore:
     """Artifacts as files in the config's workdir; inputs at the paths it names.
 
     Reading an artifact checks that it exists and that its sidecar carries
-    the current version, then parses it, at most once per store.  Every
+    its format's version, then parses it, at most once per store.  Every
     DataError from reading an artifact or input names its file, and an
     OSError from that read is a StageError that names it.
     """
@@ -205,44 +237,35 @@ class DiskStore:
             path = Path(getattr(self.cfg, key))
             if not path.exists():
                 raise StageError(f"{what} does not exist: {path}")
-            read = lambda: load(path)
-        else:
-            fmt, path, meta_path = self._file(name)
-            if not path.exists():
-                raise StageError(f"missing artifact {path}; run the '{fmt.producer}' stage first")
-            if fmt.sidecar and meta_path.exists():
-                meta = json_object(meta_path.read_text(encoding="utf-8"), f"sidecar {meta_path}")
-                if meta.get("version") != ARTIFACT_VERSION:
-                    raise StageError(
-                        f"artifact {path} has version {meta.get('version')}, "
-                        f"expected {ARTIFACT_VERSION}; refusing to use it"
-                    )
-            upstream = [self[n] for n in fmt.needs]  # their errors name their own files
-            read = lambda: fmt.parse(path.read_text(encoding="utf-8"), *upstream)
-        try:
-            return read()
-        except OSError as exc:  # say, a directory where the file should be
-            raise StageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-        except (DataError, UnicodeDecodeError) as exc:
-            if str(path) in str(exc):  # the reader named the file already
-                raise
-            raise DataError(f"{path}: {exc}") from exc
+            return _read(path, lambda: load(path))
+        fmt, path, meta_path = self._file(name)
+        if not path.exists():
+            raise StageError(f"missing artifact {path}; run the '{fmt.producer}' stage first")
+        if fmt.sidecar and meta_path.exists():
+            meta = _read(meta_path, lambda: json_object(meta_path.read_text(encoding="utf-8"),
+                                                        f"sidecar {meta_path}"))
+            if meta.get("version") != fmt.version:
+                raise StageError(
+                    f"artifact {path} has version {meta.get('version')}, "
+                    f"expected {fmt.version}; refusing to use it"
+                )
+        upstream = [self[n] for n in fmt.needs]  # their errors name their own files
+        return _read(path, lambda: fmt.parse(path.read_text(encoding="utf-8"), *upstream))
 
     def put(self, name: str, value, **meta) -> None:
         """Write `value`, plus a sidecar of version, producing stage and `meta`.
 
-        An OSError on the way (say, a workdir that is a file) is a StageError.
+        Each file is replaced whole or not at all.  An OSError on the way
+        (say, a workdir that is a file) is a StageError.
         """
         fmt, path, meta_path = self._file(name)
         text = fmt.dump(value)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
+            _write_atomic(path, text)
             if fmt.sidecar:
-                meta_path.write_text(
-                    _canonical_json({"version": ARTIFACT_VERSION, "stage": fmt.producer, **meta}),
-                    encoding="utf-8",
-                )
+                _write_atomic(meta_path, _canonical_json(
+                    {"version": fmt.version, "stage": fmt.producer, **meta}))
         except OSError as exc:
             raise StageError(f"cannot write artifact {path}: {exc}") from exc
         self._parsed[name] = value
@@ -300,7 +323,7 @@ def build_constraints(
                 raise DataError(f"preference references unknown query {p.wrt_query}")
             # doc -> index of the first threshold at or above its rank
             first = {doc: bisect_left(RANK_THRESHOLDS, i + 1)
-                     for i, doc in enumerate(q.result_docs())}
+                     for i, doc in enumerate(q.results)}
             cached = per_query[p.wrt_query] = (first, sorted(set(q.terms)))
         first, terms = cached
         a = first.get(p.preferred_doc, N_RANK_FEATURES)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 from typing import Callable
 
 import numpy as np
@@ -82,7 +83,10 @@ class UserBehavior:
 
 @dataclass
 class TruthRecord:
-    """Sidecar entry: which intent a query served and its true relevance map."""
+    """Sidecar entry: which intent a query served and its true relevance map.
+
+    `simulate` gives every record of an intent that intent's own map.
+    """
 
     query_id: str
     intent_id: str
@@ -108,11 +112,6 @@ def scan_and_click(
         if rng.random() < p_click:
             clicked.append(i)
     return clicked
-
-
-def _abstract(corpus: Corpus, doc_id: str) -> str:
-    doc = corpus.documents[doc_id]
-    return f"{doc.title}: {doc.body[:100]}"
 
 
 def _satisfied(
@@ -148,6 +147,9 @@ def simulate(
     pursued, so the intent id is a valid chain label) after a pause drawn
     from `intent_gap`; keep that gap above the chain window to leave
     heuristic segmentation exact, or below it to study its errors.
+
+    `corpus` is the collection `ranker` serves.  The log names documents by
+    id only, so nothing here reads it.
     """
     if n_sessions < 0:
         raise DataError("n_sessions must be non-negative")
@@ -168,15 +170,15 @@ def simulate(
                 qid = f"{session_id}q{n_queries}"
                 n_queries += 1
                 ranking = ranker(list(terms), results_per_query)
-                results = [(e.doc_id, _abstract(corpus, e.doc_id)) for e in ranking.entries]
+                results = ranking.doc_ids()
                 events.append(QueryEvent(qid, session_id, t, list(terms), results))
-                truth.append(TruthRecord(qid, intent.intent_id, dict(intent.relevant_docs)))
-                grades = [intent.grade(d) for d, _ in results]
+                truth.append(TruthRecord(qid, intent.intent_id, intent.relevant_docs))
+                grades = [intent.grade(d) for d in results]
                 clicked = scan_and_click(grades, behavior, rng)
                 for pos in clicked:
                     t += 1
-                    events.append(ClickEvent(qid, results[pos][0], pos + 1, t))
-                if _satisfied(intent, [results[p][0] for p in clicked], behavior, rng):
+                    events.append(ClickEvent(qid, results[pos], pos + 1, t))
+                if _satisfied(intent, [results[p] for p in clicked], behavior, rng):
                     break
                 if qi < len(intent.query_script) - 1:
                     if rng.random() >= behavior.reformulate_prob:
@@ -295,17 +297,25 @@ def interleaved_eval(
 
 
 def write_truth(records: list[TruthRecord]) -> str:
-    """Sidecar JSON-lines: {"qid":...,"intent":...,"relevance":{doc:grade}}."""
-    lines = [
-        json.dumps(
-            {"qid": r.query_id, "intent": r.intent_id,
-             "relevance": {d: r.relevance[d] for d in sorted(r.relevance)}},
-            ensure_ascii=False,
-            separators=(",", ":"),
-        )
-        for r in records
-    ]
-    return "".join(line + "\n" for line in lines)
+    """Sidecar JSON-lines: {"qid":...,"intent":...,"relevance":{doc:grade}}.
+
+    Each line is the `json.dumps` of its record (ensure_ascii=False, no
+    spaces, relevance keys sorted), written with json's own string encoder.
+    A relevance map shared by several records, as `simulate` shares each
+    intent's, is encoded once.
+    """
+    q = encode_basestring
+    encoded: dict[int, str] = {}  # id(relevance map) -> its JSON; `records` keeps each alive
+    out = []
+    for r in records:
+        relevance = encoded.get(id(r.relevance))
+        if relevance is None:
+            relevance = encoded[id(r.relevance)] = json.dumps(
+                {d: r.relevance[d] for d in sorted(r.relevance)},
+                ensure_ascii=False, separators=(",", ":"),
+            )
+        out.append(f'{{"qid":{q(r.query_id)},"intent":{q(r.intent_id)},"relevance":{relevance}}}\n')
+    return "".join(out)
 
 
 def read_truth(text: str) -> list[TruthRecord]:

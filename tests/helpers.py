@@ -15,14 +15,12 @@ from chainrank.logs import ClickEvent, QueryEvent, SearchLog
 from chainrank.simulate import Intent, PairEvalResult, _satisfied, scan_and_click
 
 
-def make_query(qid, session, t, terms, docs, abstracts=None):
-    if abstracts is None:
-        abstracts = [f"abstract for {d}" for d in docs]
-    return QueryEvent(qid, session, t, list(terms), list(zip(docs, abstracts)))
+def make_query(qid, session, t, terms, docs):
+    return QueryEvent(qid, session, t, list(terms), list(docs))
 
 
 def make_click(query: QueryEvent, rank: int, t: int | None = None) -> ClickEvent:
-    doc = query.result_docs()[rank - 1]
+    doc = query.results[rank - 1]
     return ClickEvent(query.query_id, doc, rank, query.timestamp if t is None else t)
 
 
@@ -47,11 +45,18 @@ def reference_write_log(log: SearchLog) -> str:
         if isinstance(ev, QueryEvent):
             out.append(json_line({"type": "query", "qid": ev.query_id, "session": ev.session_id,
                                   "t": ev.timestamp, "terms": ev.terms,
-                                  "results": [{"doc": d, "abstract": a} for d, a in ev.results]}))
+                                  "results": ev.results}))
         else:
             out.append(json_line({"type": "click", "qid": ev.query_id, "doc": ev.doc_id,
                                   "rank": ev.rank, "t": ev.timestamp}))
     return "".join(out)
+
+
+def reference_write_truth(records) -> str:
+    """The truth wire format by its definition: one json.dumps per record, relevance keys sorted."""
+    return "".join(json_line({"qid": r.query_id, "intent": r.intent_id,
+                              "relevance": {d: r.relevance[d] for d in sorted(r.relevance)}})
+                   for r in records)
 
 
 def reference_write_preferences(prefs) -> str:

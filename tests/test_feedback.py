@@ -56,7 +56,7 @@ def test_clicks_rank1_and_rank3():
     # brute force: for each clicked rank, unclicked docs above it
     clicked = {1, 3}
     expected = {
-        (q.result_docs()[k - 1], q.result_docs()[j - 1], "q1")
+        (q.results[k - 1], q.results[j - 1], "q1")
         for k in clicked
         for j in range(1, k)
         if j not in clicked

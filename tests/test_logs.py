@@ -20,14 +20,13 @@ def search_logs(draw):
     sessions = draw(st.lists(ANY_TEXT, min_size=1, max_size=3))
     events, t = [], draw(st.integers(0, 2**40))
     for i in range(draw(st.integers(0, 6))):
-        results = draw(st.lists(st.tuples(ANY_TEXT, ANY_TEXT), max_size=4,
-                                unique_by=lambda r: r[0]))
+        results = draw(st.lists(ANY_TEXT, max_size=4, unique=True))
         q = QueryEvent(draw(ANY_TEXT) + f"#{i}", draw(st.sampled_from(sessions)), t,
                        draw(st.lists(ANY_TEXT, max_size=3)), results)
         events.append(q)
         for rank in draw(st.lists(st.integers(1, len(results)), max_size=3)) if results else []:
             t += draw(st.integers(0, 2**33))
-            events.append(ClickEvent(q.query_id, results[rank - 1][0], rank, t))
+            events.append(ClickEvent(q.query_id, results[rank - 1], rank, t))
         t += draw(st.integers(0, 2**33))
     return SearchLog(events)
 
@@ -49,15 +48,35 @@ def test_query_plus_click():
 
 
 def test_canonical_field_order_and_bytes():
-    q = make_query("q1", "s1", 10, ["a"], ["d1"], abstracts=["snippet"])
+    q = make_query("q1", "s1", 10, ["a"], ["d1", "d2"])
     log = SearchLog([q, make_click(q, 1, 11)])
     text = write_log(log)
     assert text.splitlines()[0] == (
         '{"type":"query","qid":"q1","session":"s1","t":10,"terms":["a"],'
-        '"results":[{"doc":"d1","abstract":"snippet"}]}'
+        '"results":["d1","d2"]}'
     )
     assert text.splitlines()[1] == '{"type":"click","qid":"q1","doc":"d1","rank":1,"t":11}'
     assert write_log(log) == text  # byte-identical across calls
+
+
+def test_results_are_doc_ids_as_json_writes_them():
+    docs = ['d"1', "dé", "a\u2028b", "😀"]
+    q = make_query('q"1', "sé", 3, ["naïve"], docs)
+    log = SearchLog([q, make_click(q, 3, 4)])
+    text = write_log(log)
+    assert text == reference_write_log(log)
+    assert text.split("\n")[0] == (
+        '{"type":"query","qid":"q\\"1","session":"sé","t":3,"terms":["naïve"],'
+        '"results":["d\\"1","dé","a\u2028b","😀"]}'
+    )
+    assert parse_log(text) == log
+
+
+def test_version_1_results_rejected_naming_the_line():
+    v1 = ('{"type":"query","qid":"q1","session":"s1","t":0,"terms":["a"],'
+          '"results":[{"doc":"d1","abstract":"about d1"}]}\n')
+    with pytest.raises(LogParseError, match="line 1: bad record: TypeError expected a string"):
+        parse_log(v1)
 
 
 def _fixture_log(n_queries=25):
@@ -81,7 +100,7 @@ def test_round_trip_50_records():
 
 def test_write_parse_canonicalizes_whitespace():
     q = make_query("q1", "s1", 10, ["a"], ["d1"])
-    messy = '{"type": "query", "results": [{"abstract": "abstract for d1", "doc": "d1"}], ' \
+    messy = '{"type": "query", "results": [ "d1" ], ' \
             '"qid": "q1", "session": "s1", "t": 10, "terms": ["a"]}\n'
     canon = write_log(parse_log(messy))
     assert canon == write_log(SearchLog([q]))

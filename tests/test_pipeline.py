@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from chainrank.features import FeatureSpace, phi
 from chainrank.feedback import prefs_for_log
 from chainrank.fixtures import documents_to_jsonl, make_fixture
 from chainrank.fixtures import main as fixtures_main
+from chainrank.logs import SearchLog
 from chainrank.pipeline import (
     BASE_FN,
     DiskStore,
@@ -260,7 +263,8 @@ def test_cli_config_directory_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("upstream, stage, file_of", [
     (["index"], "simulate", lambda cfg: Path(cfg.intents)),
     (["index", "simulate"], "prefs", lambda cfg: cfg.path("chains.jsonl")),
-], ids=["intents", "chains-artifact"])
+    (["index", "simulate", "chains"], "prefs", lambda cfg: cfg.path("chains.jsonl.meta.json")),
+], ids=["intents", "chains-artifact", "chains-sidecar"])
 def test_cli_directory_for_file_exits_2(cfg, capsys, upstream, stage, file_of):
     config_path = str(cfg.config_path)
     for name in upstream:
@@ -272,6 +276,52 @@ def test_cli_directory_for_file_exits_2(cfg, capsys, upstream, stage, file_of):
     assert cli_main([stage, "--config", config_path]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "Traceback" not in err
+
+
+def test_cli_version_1_log_refused_exits_2(cfg, capsys):
+    config_path = str(cfg.config_path)
+    for name in ("index", "simulate"):
+        assert cli_main([name, "--config", config_path]) == 0
+    meta = cfg.path("log.jsonl.meta.json")
+    stamped = json.loads(meta.read_text(encoding="utf-8"))
+    assert stamped["version"] == 2
+    meta.write_text(json.dumps({**stamped, "version": 1}), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["chains", "--config", config_path]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg.path('log.jsonl')} has version 1, expected 2; refusing to use it" in err
+    assert "Traceback" not in err
+
+
+def _write_half_then_fail(write_text):
+    def write(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+    return write
+
+
+def _refuse_rename(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("fail", ["write", "rename"])
+def test_failed_put_leaves_previous_artifact_whole(cfg, monkeypatch, fail):
+    run_stage("index", cfg)
+    run_stage("simulate", cfg)
+    workdir = Path(cfg.workdir)
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    shorter = SearchLog(DiskStore(cfg)["log"].events[:10])
+    with monkeypatch.context() as patch:
+        if fail == "write":
+            patch.setattr(Path, "write_text", _write_half_then_fail(Path.write_text))
+        else:
+            patch.setattr(os, "replace", _refuse_rename)
+        with pytest.raises(StageError, match="cannot write artifact .*log.jsonl"):
+            DiskStore(cfg).put("log", shorter, seed=1)
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+    DiskStore(cfg).put("log", shorter, seed=1)  # unpatched, the same put goes through
+    assert DiskStore(cfg)["log"] == shorter
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(before)
 
 
 def test_cli_workdir_is_file_exits_2(cfg, tmp_path, capsys):
@@ -437,7 +487,7 @@ def test_build_constraints_match_phi_oracle(small_fixture):
         assert len(constraints) == len(prefs)
         for p, c in zip(prefs, constraints):
             q = queries[p.wrt_query]
-            ranks = q.result_docs()
+            ranks = q.results
 
             def rank(doc):
                 return ranks.index(doc) + 1 if doc in ranks else None

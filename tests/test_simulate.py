@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainrank.chains import segment_log
 from chainrank.corpus import RankedList, RankEntry, base_retrieve, build_index
@@ -12,6 +14,7 @@ from chainrank.logs import ClickEvent, QueryEvent, group_sessions, parse_log, wr
 from chainrank.pipeline import base_ranker
 from chainrank.simulate import (
     Intent,
+    TruthRecord,
     UserBehavior,
     interleaved_eval,
     read_intents,
@@ -22,7 +25,7 @@ from chainrank.simulate import (
     write_intents,
     write_truth,
 )
-from helpers import interleaved_eval_per_query
+from helpers import ANY_TEXT, interleaved_eval_per_query, reference_write_truth
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +289,38 @@ def test_intent_and_truth_serialization(small_world):
     tback = read_truth(ttext)
     assert [(r.query_id, r.intent_id, r.relevance) for r in tback] == \
         [(r.query_id, r.intent_id, r.relevance) for r in truth]
+    assert ttext == reference_write_truth(truth)
+    assert write_truth(tback) == ttext
+
+
+def test_write_truth_keeps_each_grade_spelling():
+    """Equal maps whose grades differ in type or sign are encoded apart."""
+    shared = {"dé": 1, "a\u2028b": 0.5, 'q"': 0}
+    records = [
+        TruthRecord("q1", "intent-ü", shared),
+        TruthRecord("q2", "intent-ü", {"dé": 1.0, "a\u2028b": 0.5, 'q"': 0.0}),
+        TruthRecord("q3", "intent-ü", shared),
+        TruthRecord("😀", "z", {"x": -0.0, "y": True}),
+        TruthRecord("q5", "z", {"x": 0.0, "y": 1}),
+    ]
+    text = write_truth(records)
+    assert text == reference_write_truth(records)
+    assert text.split("\n")[:2] == [
+        '{"qid":"q1","intent":"intent-ü","relevance":{"a\u2028b":0.5,"dé":1,"q\\"":0}}',
+        '{"qid":"q2","intent":"intent-ü","relevance":{"a\u2028b":0.5,"dé":1.0,"q\\"":0.0}}',
+    ]
+
+
+GRADES = st.one_of(st.sampled_from([0, 1, 0.0, 1.0, -0.0, True, False]), st.floats(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps=st.lists(st.dictionaries(ANY_TEXT, GRADES, max_size=4), min_size=1, max_size=3),
+       picks=st.lists(st.tuples(ANY_TEXT, ANY_TEXT, st.integers(0, 2)), max_size=8))
+def test_write_truth_matches_json_dumps(maps, picks):
+    # records share a map object when they pick the same index
+    records = [TruthRecord(qid, intent, maps[i % len(maps)]) for qid, intent, i in picks]
+    assert write_truth(records) == reference_write_truth(records)
 
 
 def test_behavior_validation():
