@@ -18,14 +18,13 @@ query = ["ndlf"]
 ranks = {doc: i + 1 for i, doc in enumerate(base_docs)}
 constraints = []
 for skipped in base_docs:
-    delta = phi(space, wanted, query, {"base": None}) - \
-        phi(space, skipped, query, {"base": ranks[skipped]})
+    delta = phi(space, wanted, query, None) - phi(space, skipped, query, ranks[skipped])
     # repeated observations of the same judgment strengthen it
     constraints.extend([PreferenceConstraint(delta)] * 40)
 
 model = fit_model(space, constraints, C=1.0, w_min=1.0)
 print("converged:", model.meta["converged"], "objective:", round(model.meta["objective"], 3))
-print("rank weights stay clamped at w_min:", model.rank_weights("base").min())
+print("rank weights stay clamped at w_min:", model.rank_weights().min())
 print("\nlearned term/document weights:")
 for term, doc, w in model.term_doc_items():
     print(f"  ({term!r}, {doc}) = {w:+.2f}")

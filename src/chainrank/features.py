@@ -1,23 +1,33 @@
 """Sparse feature construction for the learned retrieval function.
 
-A document/query pair maps to one block of 28 rank-threshold indicators per
-base retrieval function, followed by term/document indicator features.  The
-term/document feature ids are materialized lazily: only pairs actually seen
-while building training constraints (or scoring requests) get an id.
+A document/query pair maps to the 28 rank-threshold indicators of its rank in
+the one base ranking, ids 0..27, followed by term/document indicator
+features.  The term/document feature ids are materialized lazily: only pairs
+actually seen while building training constraints (or scoring requests) get
+an id.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DataError
 
 # Threshold ranks 1..10 then 15,20,...,100.
 RANK_THRESHOLDS: tuple[int, ...] = tuple(range(1, 11)) + tuple(range(15, 101, 5))
 N_RANK_FEATURES = len(RANK_THRESHOLDS)
 assert N_RANK_FEATURES == 28
+BASE_FN = "base"  # the name of the one base ranking, in requests and model artifacts
+
+
+def first_threshold(rank: int | None) -> int:
+    """Index of the first threshold at or above `rank`, where its indicators
+    start to fire; N_RANK_FEATURES (none fires) for `None` or a rank beyond
+    the deepest threshold.  Training and serving both map ranks through this;
+    `phi_rank` is the independent reference the tests compare it with.
+    """
+    return N_RANK_FEATURES if rank is None else bisect_left(RANK_THRESHOLDS, rank)
 
 
 @dataclass(frozen=True)
@@ -53,30 +63,23 @@ class SparseVector:
 
 
 class FeatureSpace:
-    """Feature id layout: rank blocks first, then grown term/document ids.
+    """Feature id layout: the rank block first, then grown term/document ids.
 
     Growing the term/document map is single-writer; once frozen, unknown
-    pairs simply contribute no feature.
+    pairs simply contribute no feature.  `base_functions` names the base
+    ranking the rank block is over; only `(BASE_FN,)` is accepted.
     """
 
-    def __init__(self, base_functions: tuple[str, ...] = ("base",)):
-        if not base_functions:
-            raise DataError("need at least one base function")
-        self.base_functions = tuple(base_functions)
+    def __init__(self, base_functions: tuple[str, ...] = (BASE_FN,)):
+        if tuple(base_functions) != (BASE_FN,):
+            raise ValueError(f"base_functions must be [{BASE_FN!r}], got {list(base_functions)}")
         self._term_doc: dict[tuple[str, str], int] = {}
-        self._pairs: list[tuple[str, str]] = []  # index i <-> id n_rank_dims + i
+        self._pairs: list[tuple[str, str]] = []  # index i <-> id N_RANK_FEATURES + i
         self.frozen = False
 
     @property
-    def n_rank_dims(self) -> int:
-        return N_RANK_FEATURES * len(self.base_functions)
-
-    @property
     def dim(self) -> int:
-        return self.n_rank_dims + len(self._pairs)
-
-    def rank_offset(self, fn: str) -> int:
-        return self.base_functions.index(fn) * N_RANK_FEATURES
+        return N_RANK_FEATURES + len(self._pairs)
 
     def freeze(self) -> None:
         self.frozen = True
@@ -86,7 +89,7 @@ class FeatureSpace:
         key = (term, doc_id)
         fid = self._term_doc.get(key)
         if fid is None and not self.frozen:
-            fid = self.n_rank_dims + len(self._pairs)
+            fid = N_RANK_FEATURES + len(self._pairs)
             self._term_doc[key] = fid
             self._pairs.append(key)
         return fid
@@ -126,15 +129,12 @@ def phi(
     space: FeatureSpace,
     doc_id: str,
     query_terms: list[str],
-    base_ranks: dict[str, int | None],
+    rank: int | None,
 ) -> SparseVector:
-    """Full feature vector: rank blocks per base function, then term features."""
+    """Full feature vector: the rank block of `rank`, then term features."""
     items: dict[int, float] = {}
-    for fn in space.base_functions:
-        off = space.rank_offset(fn)
-        block = phi_rank(base_ranks.get(fn))
-        for i, v in enumerate(block):
-            if v:
-                items[off + i] = float(v)
+    for i, v in enumerate(phi_rank(rank)):
+        if v:
+            items[i] = float(v)
     items.update(phi_terms(space, doc_id, query_terms).to_dict())
     return SparseVector.from_items(items)

@@ -188,13 +188,13 @@ def prefs_for_log(
             out.extend(prefs_within_query(q, chain.clicks[i], chain.chain_id))
         if mode == "qc":
             out.extend(prefs_cross_query(chain, padding_pool, _chain_rng(seed, chain.chain_id)))
-    out.sort(key=lambda p: (p.chain_id, p.strategy.value))
+    out.sort(key=lambda p: (p.chain_id, p.strategy))
     return out
 
 
 def strategy_counts(prefs: list[Preference]) -> dict[str, int]:
-    counts = Counter(p.strategy.value for p in prefs)
-    return {s.value: counts.get(s.value, 0) for s in Strategy}
+    counts = Counter(p.strategy for p in prefs)
+    return {s.value: counts[s] for s in Strategy}
 
 
 def write_preferences(prefs: list[Preference]) -> str:
@@ -206,7 +206,7 @@ def write_preferences(prefs: list[Preference]) -> str:
     q = encode_basestring
     return "".join(
         f'{{"pref":{q(p.preferred_doc)},"over":{q(p.other_doc)},"wrt":{q(p.wrt_query)},'
-        f'"strategy":{q(p.strategy.value)},"chain":{q(p.chain_id)}}}\n'
+        f'"strategy":{q(p.strategy)},"chain":{q(p.chain_id)}}}\n'
         for p in prefs
     )
 

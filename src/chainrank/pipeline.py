@@ -20,7 +20,6 @@ import json
 import logging
 import numbers
 import os
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
@@ -30,7 +29,7 @@ import numpy as np
 from .chains import DEFAULT_WINDOW_SECONDS, read_chains, segment_log, write_chains
 from .corpus import Corpus, base_retrieve, build_index, index_from_json, index_to_json, load_documents, tokenize
 from .errors import DataError, StageError, json_object, malformed
-from .features import N_RANK_FEATURES, RANK_THRESHOLDS, FeatureSpace, SparseVector
+from .features import BASE_FN, N_RANK_FEATURES, FeatureSpace, SparseVector, first_threshold
 from .feedback import Preference, prefs_for_log, read_preferences, strategy_counts, write_preferences
 from .interleave import sign_test
 from .logs import LOG_VERSION, SearchLog, parse_log, write_log
@@ -43,7 +42,6 @@ from .solver import (DEFAULT_C, DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, DEFAULT_W_
 log = logging.getLogger(__name__)
 
 ARTIFACT_VERSION = 1
-BASE_FN = "base"
 _STAGE_SEEDS = {"simulate": 1, "prefs": 2, "interleave": 3}
 
 
@@ -71,8 +69,8 @@ class ExperimentConfig:
     tolerance: float = DEFAULT_TOLERANCE
     max_iters: int = DEFAULT_MAX_ITERS
     noise: float = 0.1
-    scan_persistence: float = 0.85
-    reformulate_prob: float = 0.95
+    scan_persistence: float = UserBehavior.scan_persistence
+    reformulate_prob: float = UserBehavior.reformulate_prob
     comparisons: list[list[str]] = field(
         default_factory=lambda: [["qc", "base"], ["qc", "nc"]]
     )
@@ -313,7 +311,6 @@ def build_constraints(
     """
     queries = searchlog.queries()
     per_query: dict[str, tuple[dict[str, int], list[str]]] = {}
-    off = space.rank_offset(space.base_functions[0])
     constraints = []
     for p in prefs:
         cached = per_query.get(p.wrt_query)
@@ -321,14 +318,12 @@ def build_constraints(
             q = queries.get(p.wrt_query)
             if q is None:
                 raise DataError(f"preference references unknown query {p.wrt_query}")
-            # doc -> index of the first threshold at or above its rank
-            first = {doc: bisect_left(RANK_THRESHOLDS, i + 1)
-                     for i, doc in enumerate(q.results)}
+            first = {doc: first_threshold(i) for i, doc in enumerate(q.results, start=1)}
             cached = per_query[p.wrt_query] = (first, sorted(set(q.terms)))
         first, terms = cached
         a = first.get(p.preferred_doc, N_RANK_FEATURES)
         b = first.get(p.other_doc, N_RANK_FEATURES)
-        ids = list(range(off + min(a, b), off + max(a, b)))
+        ids = list(range(min(a, b), max(a, b)))
         values = [1.0 if a < b else -1.0] * len(ids)
         term_items = [(space.term_doc_id(t, p.preferred_doc), 1.0) for t in terms]
         term_items += [(space.term_doc_id(t, p.other_doc), -1.0) for t in terms]

@@ -1,33 +1,39 @@
 """Serving a learned model: scoring, candidate generation, reranking.
 
 A document's score is the learned weight vector dotted with its feature
-vector: the suffix sum of rank weights over thresholds at or above its base
-rank, plus the term/document weights of the query terms.  Candidates are the
-base results plus every document carrying a nonzero term/document weight for
-some query term, which is how documents absent from the base results can
-enter (or be pushed out of) the final ranking.
+vector: the suffix sum of rank weights over thresholds at or above its rank
+in the base ranking, plus the term/document weights of the query terms.
+Candidates are the base results plus every document carrying a nonzero
+term/document weight for some query term, which is how documents absent from
+the base results can enter (or be pushed out of) the final ranking.
 
 Scoring a candidate costs a few dict lookups.  Per model, and cached on it:
-a table per base function mapping each base rank to its rank score, and a
+a rank-score table mapping each base rank to its rank score, and a
 term -> {doc: weight} map of the nonzero term/document weights.  Per
-request: a doc -> rank map per base ranking, the best rank of each document
-over all rankings, and the sorted distinct query terms.
+request: one doc -> rank map of the base ranking, used for the score, the
+tie-break and the origin, and the sorted distinct query terms.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .corpus import RankedList
-from .features import RANK_THRESHOLDS
+from .features import BASE_FN, RANK_THRESHOLDS, first_threshold
 from .solver import Model
 
 BASE_DEPTH = RANK_THRESHOLDS[-1]  # base results beyond this rank are feature-invisible
-_UNRANKED = 10**9  # sort position of a document in no base ranking
+_UNRANKED = 10**9  # sort position of a document not in the base ranking
+
+
+def _base_ranking(base_rankings: dict[str, RankedList]) -> RankedList:
+    """The one base ranking, keyed BASE_FN; ValueError for any other keys."""
+    if base_rankings.keys() != {BASE_FN}:
+        raise ValueError(f"base_rankings must hold only {BASE_FN!r}, got {list(base_rankings)}")
+    return base_rankings[BASE_FN]
 
 
 @dataclass
@@ -40,6 +46,7 @@ class RerankRequest:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        _base_ranking(self.base_rankings)
 
 
 @dataclass
@@ -61,20 +68,16 @@ class ScoredRanking:
         return len(self.entries)
 
 
-def _rank_tables(model: Model) -> dict[str, list[float]]:
-    """Per base function: entry r is the rank score of base rank r, cached.
+def _rank_table(model: Model) -> list[float]:
+    """Entry r is the rank score of base rank r, cached on the model.
 
     The rank score is the suffix sum of the rank weights over the thresholds
     at or above r.  Entry 0 stands for a document absent from the ranking.
     """
     cached = getattr(model, "_rank_table_cache", None)
     if cached is None:
-        cached = {}
-        for fn in model.space.base_functions:
-            suffix = np.cumsum(model.rank_weights(fn)[::-1])[::-1].tolist()
-            cached[fn] = [0.0] + [
-                suffix[bisect.bisect_left(RANK_THRESHOLDS, r)] for r in range(1, BASE_DEPTH + 1)
-            ]
+        suffix = np.cumsum(model.rank_weights()[::-1])[::-1].tolist()
+        cached = [0.0] + [suffix[first_threshold(r)] for r in range(1, BASE_DEPTH + 1)]
         model._rank_table_cache = cached
     return cached
 
@@ -91,27 +94,24 @@ def _term_weights(model: Model) -> dict[str, dict[str, float]]:
     return cached
 
 
-def _scorer(
-    query_terms: list[str],
-    base_rankings: dict[str, RankedList],
-    model: Model,
-) -> Callable[[str], float]:
-    """Per-request scoring function: rank maps and term maps built once."""
-    tables = _rank_tables(model)
-    rank_maps = [
-        (tables[fn], {e.doc_id: e.rank for e in base_rankings[fn].entries[:BASE_DEPTH]})
-        for fn in model.space.base_functions
-        if fn in base_rankings
-    ]
+def _ranks(base_rankings: dict[str, RankedList]) -> dict[str, int]:
+    """doc -> rank in the base ranking."""
+    return {e.doc_id: e.rank for e in _base_ranking(base_rankings).entries}
+
+
+def _scorer(query_terms: list[str], ranks: dict[str, int], model: Model) -> Callable[[str], float]:
+    """Per-request scoring function over a doc -> base rank map."""
+    table = _rank_table(model)
+    if len(ranks) > BASE_DEPTH:  # ranks run 1..len(ranks); the deeper ones score 0
+        table = table + [0.0] * (len(ranks) - BASE_DEPTH)
     weights = _term_weights(model)
     term_maps = [weights[t] for t in sorted(set(query_terms)) if t in weights]
 
-    # a base function without a ranking, or a term without weights, would add
-    # 0.0; the sum is never -0.0, so skipping it leaves every score bit-identical
+    # the sum starts at 0.0, so it is never -0.0; a term without weights would
+    # add 0.0, so skipping it leaves every score bit-identical
     def score_doc(doc_id: str) -> float:
         total = 0.0
-        for table, ranks in rank_maps:
-            total += table[ranks.get(doc_id, 0)]
+        total += table[ranks.get(doc_id, 0)]
         for term_map in term_maps:
             total += term_map.get(doc_id, 0.0)
         return total
@@ -126,7 +126,7 @@ def score(
     model: Model,
 ) -> float:
     """Learned relevance score: exact sparse dot product of weights and features."""
-    return _scorer(query_terms, base_rankings, model)(doc_id)
+    return _scorer(query_terms, _ranks(base_rankings), model)(doc_id)
 
 
 def candidates(
@@ -135,9 +135,7 @@ def candidates(
     model: Model,
 ) -> set[str]:
     """Docs that can score nonzero: base top results plus term-weighted docs."""
-    out: set[str] = set()
-    for ranking in base_rankings.values():
-        out.update(e.doc_id for e in ranking.entries[:BASE_DEPTH])
+    out = {e.doc_id for e in _base_ranking(base_rankings).entries[:BASE_DEPTH]}
     weights = _term_weights(model)
     for term in set(query_terms):
         out.update(weights.get(term, ()))
@@ -147,25 +145,17 @@ def candidates(
 def rerank(request: RerankRequest) -> ScoredRanking:
     """Score candidates and sort by score desc, then base rank asc, then doc_id.
 
-    The base rank is the best rank over all base rankings; documents in none
-    of them come last on ties and carry origin "term_association".  With a
-    freshly initialized model (uniform rank weights, no term weights) the
-    threshold buckets tie and the base-rank tie-break reproduces the base
-    order exactly.
+    Documents not in the base ranking come last on ties and carry origin
+    "term_association".  With a freshly initialized model (uniform rank
+    weights, no term weights) the threshold buckets tie and the base-rank
+    tie-break reproduces the base order exactly.
     """
-    model = request.model
-    base = request.base_rankings
-    score_doc = _scorer(request.query_terms, base, model)
-    best: dict[str, int] = {}
-    for ranking in base.values():
-        for e in ranking.entries:
-            if e.rank < best.get(e.doc_id, _UNRANKED):
-                best[e.doc_id] = e.rank
-
-    scored = [(doc, score_doc(doc)) for doc in candidates(request.query_terms, base, model)]
-    scored.sort(key=lambda t: (-t[1], best.get(t[0], _UNRANKED), t[0]))
-    query_id = next(iter(base.values())).query_id if base else ""
-    return ScoredRanking(query_id, [
-        ScoredEntry(d, s, "base_results" if d in best else "term_association")
+    model, terms = request.model, request.query_terms
+    ranks = _ranks(request.base_rankings)
+    score_doc = _scorer(terms, ranks, model)
+    scored = [(doc, score_doc(doc)) for doc in candidates(terms, request.base_rankings, model)]
+    scored.sort(key=lambda t: (-t[1], ranks.get(t[0], _UNRANKED), t[0]))
+    return ScoredRanking(request.base_rankings[BASE_FN].query_id, [
+        ScoredEntry(d, s, "base_results" if d in ranks else "term_association")
         for d, s in scored[: request.k]
     ])

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, json_object, malformed
-from .features import N_RANK_FEATURES, RANK_THRESHOLDS, FeatureSpace, SparseVector
+from .features import BASE_FN, N_RANK_FEATURES, RANK_THRESHOLDS, FeatureSpace, SparseVector
 
 DEFAULT_C = 1.0
 DEFAULT_W_MIN = 1.0
@@ -378,22 +378,20 @@ class Model:
             raise DataError(
                 f"weight dim {len(self.weights)} != feature space dim {self.space.dim}"
             )
-        low = self.weights[: self.space.n_rank_dims]
+        low = self.weights[:N_RANK_FEATURES]
         if len(low) and low.min() < self.w_min:
             raise DataError("rank-feature weight below w_min")
 
-    def rank_weights(self, fn: str) -> np.ndarray:
-        off = self.space.rank_offset(fn)
-        return self.weights[off: off + N_RANK_FEATURES]
+    def rank_weights(self) -> np.ndarray:
+        return self.weights[:N_RANK_FEATURES]
 
     def term_doc_weight(self, term: str, doc_id: str) -> float:
         fid = self.space._term_doc.get((term, doc_id))
         return float(self.weights[fid]) if fid is not None else 0.0
 
     def term_doc_items(self) -> list[tuple[str, str, float]]:
-        off = self.space.n_rank_dims
         return [
-            (t, d, float(self.weights[off + i]))
+            (t, d, float(self.weights[N_RANK_FEATURES + i]))
             for i, (t, d) in enumerate(self.space.term_doc_pairs())
         ]
 
@@ -412,7 +410,7 @@ def fit_model(
         constraints,
         C=C,
         w_min=w_min,
-        bounded_dims=tuple(range(space.n_rank_dims)),
+        bounded_dims=tuple(range(N_RANK_FEATURES)),
         dim=space.dim,
         tolerance=tolerance,
         max_iters=max_iters,
@@ -433,7 +431,7 @@ def fit_model(
 def fresh_model(space: FeatureSpace, w_min: float = DEFAULT_W_MIN, C: float = DEFAULT_C) -> Model:
     """Untrained model: every rank weight at w_min, term/doc weights zero."""
     w = np.zeros(space.dim)
-    w[: space.n_rank_dims] = w_min
+    w[:N_RANK_FEATURES] = w_min
     return Model(space=space, weights=w, C=C, w_min=w_min, meta={"fresh": True})
 
 
@@ -444,11 +442,8 @@ def model_to_json(model: Model) -> str:
         "C": model.C,
         "w_min": model.w_min,
         "thresholds": list(RANK_THRESHOLDS),
-        "base_functions": list(model.space.base_functions),
-        "rank_weights": {
-            fn: [float(v) for v in model.rank_weights(fn)]
-            for fn in model.space.base_functions
-        },
+        "base_functions": [BASE_FN],
+        "rank_weights": {BASE_FN: [float(v) for v in model.rank_weights()]},
         "term_doc_weights": [
             {"term": t, "doc": d, "w": w} for t, d, w in model.term_doc_items()
         ],
@@ -463,10 +458,8 @@ def model_from_json(text: str) -> Model:
     with malformed("model artifact"):
         if payload["thresholds"] != list(RANK_THRESHOLDS):  # the rank weights would mean other ranks
             raise DataError(f"malformed model artifact: thresholds must be {list(RANK_THRESHOLDS)}")
-        space = FeatureSpace(tuple(payload["base_functions"]))
-        weights = []
-        for fn in space.base_functions:
-            weights.extend(payload["rank_weights"][fn])
+        space = FeatureSpace(tuple(payload["base_functions"]))  # refuses all but [BASE_FN]
+        weights = list(payload["rank_weights"][BASE_FN])
         for rec in payload["term_doc_weights"]:
             space.term_doc_id(rec["term"], rec["doc"])
             weights.append(rec["w"])

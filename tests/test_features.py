@@ -8,6 +8,7 @@ from chainrank.features import (
     RANK_THRESHOLDS,
     FeatureSpace,
     SparseVector,
+    first_threshold,
     phi,
     phi_rank,
     phi_terms,
@@ -64,9 +65,9 @@ def test_phi_terms_counts():
 
 def test_phi_combined_counts():
     space = FeatureSpace(("base",))
-    v = phi(space, "d", ["t"], {"base": 1})
+    v = phi(space, "d", ["t"], 1)
     assert v.nnz() == 29
-    v2 = phi(space, "d2", ["t"], {"base": None})
+    v2 = phi(space, "d2", ["t"], None)
     assert v2.nnz() == 1
 
 
@@ -74,8 +75,8 @@ def test_phi_delta_matches_dense_oracle():
     # independent dense construction on a small space
     space = FeatureSpace(("base",))
     terms = ["x", "y"]
-    pa = phi(space, "da", terms, {"base": 2})
-    pb = phi(space, "db", terms, {"base": 5})
+    pa = phi(space, "da", terms, 2)
+    pb = phi(space, "db", terms, 5)
     dim = space.dim
 
     def dense(doc, rank):
@@ -139,14 +140,19 @@ def test_frozen_space_does_not_grow():
 )
 def test_sparsity_bound(terms, rank):
     space = FeatureSpace(("base",))
-    v = phi(space, "doc", terms, {"base": rank})
+    v = phi(space, "doc", terms, rank)
     assert v.nnz() <= N_RANK_FEATURES + len(set(terms))
 
 
-def test_rank_blocks_precede_term_ids_with_two_base_functions():
-    space = FeatureSpace(("f1", "f2"))
-    assert space.n_rank_dims == 56
-    v = phi(space, "d", ["t"], {"f1": 1, "f2": 3})
-    term_id = space.term_doc_id("t", "d")
-    assert term_id >= 56
-    assert v.nnz() == 28 + 26 + 1
+def test_first_threshold_is_first_firing_phi_rank_indicator():
+    # the program's one rank -> threshold mapping against the reference loop
+    for rank in [*range(1, 102), None]:
+        fired = np.flatnonzero(phi_rank(rank))
+        expected = int(fired[0]) if len(fired) else N_RANK_FEATURES
+        assert first_threshold(rank) == expected, rank
+
+
+@pytest.mark.parametrize("base_functions", [(), ("f1",), ("base", "alt"), "base"])
+def test_feature_space_refuses_other_base_functions(base_functions):
+    with pytest.raises(ValueError, match="base_functions"):
+        FeatureSpace(base_functions)

@@ -434,6 +434,13 @@ def _foreign_thresholds(text):
     return json.dumps(payload)
 
 
+def _foreign_base_functions(text):
+    payload = json.loads(text)
+    payload["base_functions"] = ["base", "alt"]
+    payload["rank_weights"]["alt"] = payload["rank_weights"]["base"]
+    return json.dumps(payload)
+
+
 def _drop_first_title(text):
     payload = json.loads(text)
     del payload["documents"][0]["title"]
@@ -444,9 +451,10 @@ def _drop_first_title(text):
     ("model_qc.json", lambda text: text[: len(text) // 2], "model artifact"),
     ("model_qc.json", _drop_term_doc_weights, "model artifact"),
     ("model_qc.json", _foreign_thresholds, "model artifact"),
+    ("model_qc.json", _foreign_base_functions, "model artifact"),
     ("index.json", _drop_first_title, "index artifact"),
 ], ids=["truncated-model", "model-without-term-weights", "model-with-foreign-thresholds",
-        "index-record-without-title"])
+        "model-with-foreign-base-functions", "index-record-without-title"])
 def test_cli_malformed_artifact_is_data_error(trained_workdir, tmp_path, capsys, artifact,
                                               corrupt, named):
     cfg_path, workdir = trained_workdir
@@ -493,8 +501,8 @@ def test_build_constraints_match_phi_oracle(small_fixture):
                 return ranks.index(doc) + 1 if doc in ranks else None
 
             expected = (
-                phi(oracle_space, p.preferred_doc, q.terms, {BASE_FN: rank(p.preferred_doc)})
-                - phi(oracle_space, p.other_doc, q.terms, {BASE_FN: rank(p.other_doc)})
+                phi(oracle_space, p.preferred_doc, q.terms, rank(p.preferred_doc))
+                - phi(oracle_space, p.other_doc, q.terms, rank(p.other_doc))
             )
             assert c.delta == expected
         assert space.term_doc_pairs() == oracle_space.term_doc_pairs()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainrank.corpus import Document, RankedList, RankEntry, base_retrieve, build_index
-from chainrank.features import FeatureSpace, SparseVector, phi
+from chainrank.features import N_RANK_FEATURES, FeatureSpace, SparseVector, phi
 from chainrank.ranking import RerankRequest, candidates, rerank, score
 from chainrank.solver import Model, PreferenceConstraint, fit_model, fresh_model
 
@@ -149,6 +149,13 @@ def test_rerank_k_validation():
         RerankRequest(["t"], {"base": ranked([])}, model, k=0)
 
 
+@pytest.mark.parametrize("keys", [(), ("alt",), ("base", "alt")])
+def test_rerank_request_takes_only_the_base_ranking(keys):
+    model = model_with_terms({})
+    with pytest.raises(ValueError, match="base_rankings"):
+        RerankRequest(["t"], {key: ranked(["d1"]) for key in keys}, model)
+
+
 def test_cancelled_term_weight_is_exact_zero_and_injects_nothing():
     # ("t", "new") enters one constraint with +1 and the other with -1; the
     # sweep's float updates leave a ~1e-16 residue there unless it is zeroed
@@ -168,33 +175,31 @@ def test_cancelled_term_weight_is_exact_zero_and_injects_nothing():
 
 @st.composite
 def rerank_worlds(draw):
-    """A small model with dyadic weights, base rankings and a query.
+    """A small model with dyadic weights, a base ranking and a query.
 
     Every weight is a multiple of 1/8 of modest size, so every sum of them is
     exact and any summation order gives the same float.  Pools of 104 docs
     rank some documents beyond the deepest rank threshold, and term weights
-    favour those, so deep base documents also enter by term association.
+    favour those, so deep base documents also enter by term association:
+    they score no rank weight but stay "base_results" on origin and tie-break.
     """
-    fns = draw(st.sampled_from([("base",), ("base", "alt")]))
     pool = [f"d{i:03d}" for i in range(draw(st.sampled_from([8, 104])))]
-    base = {}
-    for name in sorted(draw(st.sets(st.sampled_from(fns + ("extra",)), min_size=1))):
-        order = draw(st.permutations(pool))
-        depth = draw(st.one_of(st.integers(0, len(pool)), st.integers(len(pool) - 6, len(pool))))
-        base[name] = ranked(order[:depth], query_id="q")
-    deep = sorted({d for ranking in base.values() for d in ranking.doc_ids()[96:]})
+    order = draw(st.permutations(pool))
+    depth = draw(st.one_of(st.integers(0, len(pool)), st.integers(len(pool) - 6, len(pool))))
+    base = {"base": ranked(order[:depth], query_id="q")}
+    deep = base["base"].doc_ids()[96:]
     terms = ["t0", "t1", "t2"]
     term_docs = deep + pool[:8] + ["x0", "x1"]
     pairs = draw(st.lists(st.tuples(st.sampled_from(terms), st.sampled_from(term_docs)),
                           unique=True, max_size=12))
-    space = FeatureSpace(fns)
+    space = FeatureSpace(("base",))
     for term, doc in pairs:
         space.term_doc_id(term, doc)
     space.freeze()
     w_min = draw(st.integers(0, 8)) / 8
     eighths = st.integers(-24, 24).map(lambda n: n / 8)
     w = np.array(
-        [w_min + draw(st.integers(0, 8)) / 8 for _ in range(space.n_rank_dims)]
+        [w_min + draw(st.integers(0, 8)) / 8 for _ in range(N_RANK_FEATURES)]
         + [draw(eighths) for _ in pairs]
     )
     model = Model(space=space, weights=w, C=1.0, w_min=w_min, meta={})
@@ -203,13 +208,15 @@ def rerank_worlds(draw):
     return model, base, query_terms, k
 
 
+def base_rank(base, doc):
+    """1-based rank of `doc` in the base ranking, or None, by linear search."""
+    doc_ids = base["base"].doc_ids()
+    return doc_ids.index(doc) + 1 if doc in doc_ids else None
+
+
 def dense_phi(model, doc, query_terms, base):
     """Dense feature vector of one document through the training featurizer."""
-    ranks = {
-        name: ranking.doc_ids().index(doc) + 1 if doc in ranking.doc_ids() else None
-        for name, ranking in base.items()
-    }
-    vec = phi(model.space, doc, query_terms, ranks)
+    vec = phi(model.space, doc, query_terms, base_rank(base, doc))
     out = np.zeros(model.space.dim)
     out[list(vec.ids)] = vec.values
     return out
@@ -221,16 +228,16 @@ def test_rerank_matches_dense_oracle(world):
     model, base, query_terms, k = world
     out = rerank(RerankRequest(query_terms, base, model, k))
 
-    def best_rank(doc):
-        ranks = [r.doc_ids().index(doc) + 1 for r in base.values() if doc in r.doc_ids()]
-        return min(ranks, default=float("inf"))
+    def sort_rank(doc):
+        rank = base_rank(base, doc)
+        return float("inf") if rank is None else rank
 
     oracle = {d: float(model.weights @ dense_phi(model, d, query_terms, base))
               for d in candidates(query_terms, base, model)}
-    expected = sorted(oracle, key=lambda d: (-oracle[d], best_rank(d), d))[:k]
+    expected = sorted(oracle, key=lambda d: (-oracle[d], sort_rank(d), d))[:k]
     assert out.doc_ids() == expected
     for e in out.entries:
         assert e.score == oracle[e.doc_id]
         assert e.score == score(e.doc_id, query_terms, base, model)
-        in_base = best_rank(e.doc_id) != float("inf")
+        in_base = base_rank(base, e.doc_id) is not None
         assert e.origin == ("base_results" if in_base else "term_association")

@@ -216,8 +216,8 @@ def _small_model():
     space = FeatureSpace(("base",))
     cons = []
     for doc, rank, other, other_rank in (("da", 1, "db", 3), ("dc", None, "da", 1)):
-        pa = phi(space, doc, ["t1", "t2"], {"base": rank})
-        pb = phi(space, other, ["t1", "t2"], {"base": other_rank})
+        pa = phi(space, doc, ["t1", "t2"], rank)
+        pb = phi(space, other, ["t1", "t2"], other_rank)
         cons.append(PreferenceConstraint(pa - pb))
     return fit_model(space, cons, C=1.0, w_min=1.0)
 
@@ -241,8 +241,8 @@ def test_model_json_round_trip_bit_exact(tmp_path):
     assert loaded.space.term_doc_pairs() == model.space.term_doc_pairs()
     # a reloaded space produces identical feature vectors
     for doc, rank in (("da", 2), ("db", None), ("dc", 7)):
-        assert phi(loaded.space, doc, ["t1", "t2"], {"base": rank}) == \
-            phi(model.space, doc, ["t1", "t2"], {"base": rank})
+        assert phi(loaded.space, doc, ["t1", "t2"], rank) == \
+            phi(model.space, doc, ["t1", "t2"], rank)
 
 
 def test_model_version_mismatch():
