@@ -103,19 +103,35 @@ def write_chains(chains: list[QueryChain]) -> str:
 
 
 def read_chains(text: str, log: SearchLog) -> list[QueryChain]:
-    """Rebuild chains against a log (queries and clicks resolved by qid)."""
+    """Rebuild chains against a log (queries and clicks resolved by qid).
+
+    A chain id appears on one line only, a query id in one chain only, and a
+    chain's queries all belong to the session it names; a line that breaks
+    one of these raises LogParseError naming it.
+    """
     queries = log.queries()
     clicks_by_qid = _clicks_by_query(log.events)
+    chain_ids: set[str] = set()
+    listed: set[str] = set()
 
     def record(rec: dict) -> QueryChain:
+        chain_id, session = string(rec["chain_id"]), string(rec["session"])
         qids = strings(rec["qids"])
+        if chain_id in chain_ids:
+            raise DataError(f"chain id {chain_id!r} appears twice")
+        chain_ids.add(chain_id)
         for qid in qids:
             if qid not in queries:
                 raise DataError(f"unknown query id {qid!r}")
+            if qid in listed:
+                raise DataError(f"query id {qid!r} listed twice")
+            listed.add(qid)
+            if queries[qid].session_id != session:
+                raise DataError(f"query {qid!r} is not in session {session!r}")
         qs = [queries[qid] for qid in qids]
         return QueryChain(
-            chain_id=string(rec["chain_id"]),
-            session_id=string(rec["session"]),
+            chain_id=chain_id,
+            session_id=session,
             queries=qs,
             clicks=[list(clicks_by_qid.get(q.query_id, ())) for q in qs],
         )

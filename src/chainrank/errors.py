@@ -17,6 +17,7 @@ def _not_json(constant: str):
 
 
 _DECODER = json.JSONDecoder(parse_constant=_not_json)  # NaN and Infinity are refused
+_JSON_SPACE = " \t\n\r"  # the whitespace JSON allows around a value
 
 
 class ChainrankError(Exception):
@@ -62,12 +63,18 @@ def json_lines(text: str, parse_record, source: str = "") -> list:
     the line (`source:line` when a source is given).
     """
     out = []
-    decode, append = _DECODER.decode, out.append
+    scan, decode, append = _DECODER.scan_once, _DECODER.decode, out.append
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line or line.isspace():  # the test `not line.strip()` makes, without a copy
             continue
         try:
-            rec = decode(line)
+            try:  # the scan decode() makes, enough when only whitespace follows the value
+                rec, end = scan(line, 0)
+                whole = end == len(line) or not line[end:].strip(_JSON_SPACE)
+            except (StopIteration, ValueError):
+                whole = False
+            if not whole:  # leading space, trailing data or bad JSON: decode() decides
+                rec = decode(line)
             if not isinstance(rec, dict):
                 raise DataError("not a JSON object")
             append(parse_record(rec))

@@ -16,8 +16,10 @@ query q" statements:
 S3/S4 look only at the immediate predecessor; S5/S6 pair each clicking query
 with every earlier query in its chain.  When an earlier query has fewer
 results than S5/S6 need, random corpus documents stand in as if ranked at
-the end of its results; draws come from a generator seeded per chain, so
-output is reproducible and independent of chain processing order.
+the end of its results, drawn from the corpus ids, each counted once.  The
+draws come from a generator seeded per chain and built when the chain draws
+its first pad, so output is reproducible and independent of chain
+processing order.
 
 Duplicate judgments are kept: the output is a multiset, canonically ordered
 by (chain, strategy, generation order).
@@ -29,13 +31,16 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
+from typing import Callable
 
 import numpy as np
 
 from .chains import QueryChain
 from .errors import DataError, json_lines, string
 from .logs import ClickEvent, QueryEvent, SearchLog
+from .randomness import derived_rng
 
 
 class Strategy(str, Enum):
@@ -125,18 +130,16 @@ def _draw_pad(rng: np.random.Generator, pool: list[str], excluded: set[str]) -> 
             return d
 
 
-def prefs_cross_query(
-    chain: QueryChain,
-    padding_pool: list[str] | None = None,
-    rng: np.random.Generator | None = None,
-) -> list[Preference]:
-    """S3-S6 for one chain.
+def _padding(padding_pool: list[str] | None) -> list[str]:
+    """The ids pads are drawn from: each once, sorted."""
+    return sorted(set(padding_pool)) if padding_pool else []
 
-    `padding_pool` is the corpus doc-id universe used for stand-in documents;
-    without it, judgments that would need padding are simply not emitted.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    pool = sorted(padding_pool) if padding_pool else []
+
+def _cross_query(
+    chain: QueryChain, pool: list[str], make_rng: Callable[[], np.random.Generator]
+) -> list[Preference]:
+    """S3-S6 for one chain, pads from `pool`; `make_rng()` is called at the first pad."""
+    rng = None
     out: list[Preference] = []
     for i, q in enumerate(chain.queries):
         clicks_q = chain.clicks[i]
@@ -156,15 +159,31 @@ def prefs_cross_query(
                     if t != cd:
                         out.append(Preference(cd, t, q_e.query_id, strategy, chain.chain_id))
                 for _ in range(n_pad):
+                    if rng is None:
+                        rng = make_rng()
                     pad = _draw_pad(rng, pool, set(q_e.results) | {cd})
                     if pad is not None:
                         out.append(Preference(cd, pad, q_e.query_id, strategy, chain.chain_id))
     return out
 
 
+def prefs_cross_query(
+    chain: QueryChain,
+    padding_pool: list[str] | None = None,
+    rng: np.random.Generator | None = None,
+) -> list[Preference]:
+    """S3-S6 for one chain.
+
+    `padding_pool` is the corpus doc-id universe used for stand-in documents;
+    without it, judgments that would need padding are simply not emitted.
+    """
+    make_rng = (lambda: rng) if rng is not None else partial(np.random.default_rng, 0)
+    return _cross_query(chain, _padding(padding_pool), make_rng)
+
+
 def _chain_rng(seed: int, chain_id: str) -> np.random.Generator:
     digest = hashlib.sha256(chain_id.encode("utf-8")).digest()
-    return np.random.default_rng([seed, int.from_bytes(digest[:8], "big")])
+    return derived_rng(seed, int.from_bytes(digest[:8], "big"))
 
 
 def prefs_for_log(
@@ -182,12 +201,13 @@ def prefs_for_log(
     mode = mode.lower()
     if mode not in ("qc", "nc"):
         raise DataError(f"mode must be 'qc' or 'nc', got {mode!r}")
+    pool = _padding(padding_pool) if mode == "qc" else []
     out: list[Preference] = []
     for chain in sorted(chains, key=lambda c: c.chain_id):
         for i, q in enumerate(chain.queries):
             out.extend(prefs_within_query(q, chain.clicks[i], chain.chain_id))
         if mode == "qc":
-            out.extend(prefs_cross_query(chain, padding_pool, _chain_rng(seed, chain.chain_id)))
+            out.extend(_cross_query(chain, pool, partial(_chain_rng, seed, chain.chain_id)))
     out.sort(key=lambda p: (p.chain_id, p.strategy))
     return out
 

@@ -29,13 +29,12 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 from typing import Callable
 
-import numpy as np
-
 from .corpus import Corpus, RankedList
 from .errors import DataError, json_lines, json_object, malformed, string, strings
 from .feedback import Preference
 from .interleave import Interleaving, attribute, combine
 from .logs import ClickEvent, QueryEvent, SearchLog
+from .randomness import BlockUniforms, Uniforms, derived_rng
 
 Ranker = Callable[[list[str], int], RankedList]
 
@@ -93,10 +92,11 @@ class TruthRecord:
     relevance: dict[str, float]
 
 
-def scan_and_click(
-    grades: list[float], behavior: UserBehavior, rng: np.random.Generator
-) -> list[int]:
-    """Simulate one top-down scan; returns clicked 0-based positions in order."""
+def scan_and_click(grades: list[float], behavior: UserBehavior, rng: Uniforms) -> list[int]:
+    """Simulate one top-down scan; returns clicked 0-based positions in order.
+
+    `rng` is anything with `random()`: a numpy Generator, or a BlockUniforms.
+    """
     eps = behavior.click_noise
     clicked: list[int] = []
     for i in range(len(grades)):
@@ -115,8 +115,7 @@ def scan_and_click(
 
 
 def _satisfied(
-    intent: Intent, clicked_docs: list[str], behavior: UserBehavior,
-    rng: np.random.Generator,
+    intent: Intent, clicked_docs: list[str], behavior: UserBehavior, rng: Uniforms,
 ) -> bool:
     """Noisy page-read judgment: the clicked doc looks relevant with the same
     confusion rate that governs clicking."""
@@ -158,7 +157,7 @@ def simulate(
     events = []
     truth: list[TruthRecord] = []
     for s in range(n_sessions):
-        rng = np.random.default_rng([seed, s])
+        rng = derived_rng(seed, s)  # scalar draws: `integers` calls share the stream
         session_id = f"s{s:06d}"
         t = s * SESSION_GAP_SECONDS
         intent_idx = s % len(intents)
@@ -267,7 +266,7 @@ def interleaved_eval(
     result = PairEvalResult()
     cases: dict[tuple, tuple[Interleaving, list[str], list[float]]] = {}
     for s in range(n_sessions):
-        rng = np.random.default_rng([seed, s])
+        rng = BlockUniforms(derived_rng(seed, s))  # this loop only draws `random()`
         a_first = bool(rng.random() < 0.5)  # session-sticky coin
         intent_idx = s % len(intents)
         intent = intents[intent_idx]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from chainrank.corpus import Document
+from chainrank.feedback import prefs_cross_query, prefs_within_query
 from chainrank.interleave import attribute, combine
 from chainrank.logs import ClickEvent, QueryEvent, SearchLog
 from chainrank.simulate import Intent, PairEvalResult, _satisfied, scan_and_click
@@ -31,6 +33,33 @@ ANY_TEXT = st.one_of(
     st.sampled_from(['"', "\\", "\n", "\r\n", "\x00", "\x1f", "\x7f", "\x85", "\u2028",
                      "\u2029", "\ud800", "\udfff", "naïve", "😀", "\\u0041"]),
 )
+
+
+def _refuse_constant(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def reference_json_lines(text: str):
+    """Each non-blank line through json's whole-string decode, NaN and Infinity refused.
+
+    Returns the records, or (line number, message) for the first line that is
+    not a JSON object, the message as `errors.json_lines` words it.
+    """
+    decoder = json.JSONDecoder(parse_constant=_refuse_constant)
+    out = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = decoder.decode(line)
+        except json.JSONDecodeError as exc:
+            return line_no, f"line {line_no}: invalid JSON at col {exc.colno}: {exc.msg}"
+        except ValueError as exc:
+            return line_no, f"line {line_no}: bad record: ValueError {exc}"
+        if not isinstance(rec, dict):
+            return line_no, f"line {line_no}: not a JSON object"
+        out.append(rec)
+    return out
 
 
 def json_line(rec: dict) -> str:
@@ -71,6 +100,21 @@ def reference_write_chains(chains) -> str:
     return "".join(json_line({"chain_id": c.chain_id, "session": c.session_id,
                               "qids": c.query_ids()})
                    for c in chains)
+
+
+def reference_prefs_for_log(log, chains, mode, padding_pool, seed):
+    """`prefs_for_log` without its savings: every chain's generator built up front,
+    the pool sorted once per chain by `prefs_cross_query`."""
+    out = []
+    for chain in sorted(chains, key=lambda c: c.chain_id):
+        for i, q in enumerate(chain.queries):
+            out.extend(prefs_within_query(q, chain.clicks[i], chain.chain_id))
+        if mode == "qc":
+            digest = hashlib.sha256(chain.chain_id.encode("utf-8")).digest()
+            rng = np.random.default_rng([seed, int.from_bytes(digest[:8], "big")])
+            out.extend(prefs_cross_query(chain, padding_pool, rng))
+    out.sort(key=lambda p: (p.chain_id, p.strategy.value))
+    return out
 
 
 def hinge_objective_dense(W: np.ndarray, deltas: np.ndarray, C: float) -> np.ndarray:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainrank.chains import read_chains, segment_heuristic, segment_log, write_chains
-from chainrank.errors import DataError
+from chainrank.errors import DataError, LogParseError
 from chainrank.logs import SearchLog
 from helpers import make_click, make_query
 
@@ -75,6 +75,20 @@ def test_chain_round_trip_jsonl():
     assert back[0].clicks[0][0].doc_id == "d1"
     with pytest.raises(DataError, match="unknown query"):
         read_chains(text.replace("q0", "zz"), log)
+
+
+@pytest.mark.parametrize("second, message", [
+    ('{"chain_id":"c0","session":"s1","qids":["q2"]}', "chain id 'c0' appears twice"),
+    ('{"chain_id":"c1","session":"s1","qids":["q2","q1"]}', "query id 'q1' listed twice"),
+    ('{"chain_id":"c1","session":"s1","qids":["q2","q2"]}', "query id 'q2' listed twice"),
+    ('{"chain_id":"c1","session":"s2","qids":["q2"]}', "query 'q2' is not in session 's2'"),
+], ids=["chain-id-twice", "qid-in-two-chains", "qid-twice-in-one-chain", "other-session"])
+def test_read_chains_refuses_overlapping_chains_naming_the_line(second, message):
+    log = SearchLog(queries_at([10, 10]))  # q0, q1 and q2, all in session s1
+    text = '{"chain_id":"c0","session":"s1","qids":["q0","q1"]}\n' + second + "\n"
+    with pytest.raises(LogParseError, match=f"^line 2: {message}$") as err:
+        read_chains(text, log)
+    assert err.value.line_no == 2
 
 
 def test_read_chains_round_trips_simulated_log_with_clicks():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainrank.chains import QueryChain, segment_log
+from chainrank.corpus import base_retrieve, build_index
 from chainrank.errors import DataError
 from chainrank.feedback import (
     Preference,
@@ -15,8 +16,11 @@ from chainrank.feedback import (
     strategy_counts,
     write_preferences,
 )
+from chainrank.fixtures import make_fixture
 from chainrank.logs import SearchLog
-from helpers import ANY_TEXT, make_click, make_query, reference_write_preferences
+from chainrank.simulate import UserBehavior, simulate
+from helpers import (ANY_TEXT, make_click, make_query, reference_prefs_for_log,
+                     reference_write_preferences)
 
 
 def pair_set(prefs, strategy=None):
@@ -155,6 +159,38 @@ def test_no_self_preference_when_doc_repeats_across_queries():
     assert all(p.preferred_doc != p.other_doc for p in prefs)
     # "shared" beats e2 but never itself
     assert pair_set(prefs, Strategy.CLICK_TOP_TWO_EARLIER_QUERY) == {("shared", "e2", "qe")}
+
+
+@pytest.mark.parametrize("pool", [["d1", "d1", "d2", "d2"], ["p1", "d1", "p1", "d2", "p2", "p1"]])
+def test_repeated_pool_ids_count_once(pool):
+    # the pad for qe must avoid d2 (its result) and d1 (the clicked doc)
+    e = make_query("qe", "s", 0, ["old"], ["d2"])
+    q = make_query("qq", "s", 60, ["new"], ["d1"])
+    log = SearchLog([e, q, make_click(q, 1, 61)])
+    chains = segment_log(log)
+    distinct = sorted(set(pool))
+    assert prefs_for_log(log, chains, "qc", pool, 0) == prefs_for_log(log, chains, "qc", distinct, 0)
+    assert (prefs_cross_query(chains[0], pool, np.random.default_rng(4))
+            == prefs_cross_query(chains[0], distinct, np.random.default_rng(4)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prefs_for_log_matches_eager_reference(seed):
+    docs, intents = make_fixture(300, seed)
+    corpus = build_index(docs)
+    # three results per query: earlier queries often need pads for S5 and S6
+    log, _ = simulate(corpus, lambda terms, k: base_retrieve(corpus, terms, k), intents,
+                      UserBehavior(click_noise=0.2), n_sessions=60, seed=seed,
+                      results_per_query=3, multi_intent_prob=0.5)
+    chains = segment_log(log)
+    pool = corpus.doc_ids()
+    shown = {q.query_id: set(q.results) for q in log.queries().values()}
+    qc = prefs_for_log(log, chains, "qc", pool, seed)
+    assert qc == reference_prefs_for_log(log, chains, "qc", pool, seed)
+    assert prefs_for_log(log, chains, "nc", pool, seed) == reference_prefs_for_log(
+        log, chains, "nc", pool, seed)
+    pads = [p for p in qc if p.other_doc not in shown[p.wrt_query]]
+    assert len({p.chain_id for p in pads}) >= 5
 
 
 def test_preference_rejects_self_pair():

@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainrank.chains import read_chains, segment_log, write_chains
-from chainrank.errors import DataError, LogParseError
+from chainrank.errors import DataError, LogParseError, json_lines
 from chainrank.logs import (
     ClickEvent,
     QueryEvent,
@@ -12,7 +14,8 @@ from chainrank.logs import (
     parse_log,
     write_log,
 )
-from helpers import ANY_TEXT, make_click, make_query, reference_write_chains, reference_write_log
+from helpers import (ANY_TEXT, make_click, make_query, reference_json_lines,
+                     reference_write_chains, reference_write_log)
 
 @st.composite
 def search_logs(draw):
@@ -112,6 +115,33 @@ def test_malformed_json_reports_line():
     text = write_log(SearchLog([q])) + "{not json\n"
     with pytest.raises(LogParseError, match="line 2"):
         parse_log(text)
+
+
+# JSON whitespace, whitespace only to str.isspace, and neither
+PADDING = ["", " ", "\t", "\r", " \r", "\x0b", "\x0c", "\x85", "\u2028", "\u3000", "\ufeff", "x"]
+BODIES = ['{"a":1}', '{"a":[1,{"b":null}],"c":"\u2028"}', '{"a":NaN}', '{"a":-Infinity}', "[1]",
+          "3", '"s"', '{"a":1}{"b":2}', '{"a":1} 2', '{"a":', "{", "", "nul", '{"a":1,}', "{}"]
+
+
+def _json_lines_or_error(text):
+    try:
+        return json_lines(text, lambda rec: rec)
+    except LogParseError as exc:
+        return exc.line_no, str(exc)
+
+
+def test_json_lines_agrees_with_decoding_each_whole_line():
+    for pre, body, post in itertools.product(PADDING, BODIES, PADDING):
+        text = '{"first":0}\n' + pre + body + post + '\n{"last":2}\n'
+        assert _json_lines_or_error(text) == reference_json_lines(text), repr(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PADDING), st.sampled_from(BODIES) | ANY_TEXT,
+                          st.sampled_from(PADDING)), max_size=4))
+def test_json_lines_agrees_with_decoding_any_lines(lines):
+    text = "\n".join(pre + body + post for pre, body, post in lines)
+    assert _json_lines_or_error(text) == reference_json_lines(text)
 
 
 def test_click_unknown_query_is_structural_error():

@@ -556,6 +556,15 @@ def _edit_record(n, edit):
     return _edit_line(n, change)
 
 
+def _edit_records(edit):
+    """Apply edit(records) to the list of objects of a JSON-lines text."""
+    def corrupt(text):
+        records = [json.loads(line) for line in text.splitlines()]
+        edit(records)
+        return "".join(json.dumps(rec) + "\n" for rec in records)
+    return corrupt
+
+
 def _edit_object(edit):
     def corrupt(text):
         payload = json.loads(text)
@@ -581,6 +590,16 @@ FAULTS = {
                           ["prefs", "--mode", "qc"]),
     "chains-no-chain-id": ("out/chains.jsonl", _edit_record(1, lambda r: r.pop("chain_id")),
                            ["prefs", "--mode", "qc"]),
+    "chains-repeated-chain-id": ("out/chains.jsonl",
+                                 _edit_records(lambda rs: rs[1].update(chain_id=rs[0]["chain_id"])),
+                                 ["prefs", "--mode", "qc"]),
+    "chains-qid-in-two-chains": ("out/chains.jsonl",
+                                 _edit_records(lambda rs: rs[1].update(session=rs[0]["session"],
+                                                                       qids=rs[0]["qids"][:1])),
+                                 ["prefs", "--mode", "qc"]),
+    "chains-other-session": ("out/chains.jsonl",
+                             _edit_record(1, lambda r: r.update(session=r["session"] + "x")),
+                             ["prefs", "--mode", "qc"]),
     "prefs-array-line": ("out/prefs_qc.jsonl", _edit_line(4, lambda line: "[1]"),
                          ["train", "--mode", "qc"]),
     "log-meta-truncated": ("out/log.jsonl.meta.json", _truncate, ["chains"]),
