@@ -3,7 +3,7 @@
 Consecutive queries from one session whose gap is at most `window_seconds`
 share a chain; a larger gap starts a new one.  The window is the only
 segmenter.  It is exact whenever intent switches come with gaps above the
-window, as they do at the simulator's default `intent_gap`.
+window, as they do at the simulator's `INTENT_GAP_SECONDS`.
 """
 
 from __future__ import annotations

@@ -15,11 +15,11 @@ import logging
 import os
 import sys
 
-from .errors import ChainrankError
+from .errors import DATA_EXIT, ChainrankError
+from .feedback import MODES
 from .pipeline import SIDES, ExperimentConfig, is_comparison, run_stage
 
 USAGE_EXIT = 1
-DATA_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,12 +64,12 @@ def _build_parser() -> _Parser:
     add("simulate", help="generate a click log with ground truth")
     add("chains", help="segment the log into query chains")
     p = add("prefs", help="generate preference judgments")
-    p.add_argument("--mode", choices=["qc", "nc"], default="qc")
+    p.add_argument("--mode", choices=MODES, default="qc")
     p = add("train", help="train a ranking model from preferences")
-    p.add_argument("--mode", choices=["qc", "nc"], default="qc")
+    p.add_argument("--mode", choices=MODES, default="qc")
     p = add("rerank", help="rank a query with a trained model")
     p.add_argument("--query", required=True)
-    p.add_argument("--mode", choices=["qc", "nc", "base"], default="qc")
+    p.add_argument("--mode", choices=SIDES, default="qc")
     p.add_argument("--k", type=_positive_int, help="number of results (at least 1)")
     p = add("interleave", help="run interleaved evaluation")
     p.add_argument("--pair", type=_pair,

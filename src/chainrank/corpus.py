@@ -9,7 +9,6 @@ query terms.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import threading
@@ -18,11 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import DataError, json_lines, json_object, malformed, string
+from .errors import DataError, canonical_json, json_lines, json_object, malformed, string
 
 INDEX_VERSION = 1
 _DOCUMENT_FIELDS = {"doc_id", "title", "body"}
-DEFAULT_K = 100
+BASE_DEPTH = 100  # base results retrieved per query, and the deepest rank feature
 
 _TOKEN = re.compile(r"[0-9a-z]+")
 
@@ -155,7 +154,7 @@ def build_index(documents: list[Document]) -> Corpus:
     return Corpus(documents)
 
 
-def base_retrieve(corpus: Corpus, query_terms: list[str], k: int = DEFAULT_K) -> RankedList:
+def base_retrieve(corpus: Corpus, query_terms: list[str], k: int = BASE_DEPTH) -> RankedList:
     """Rank documents containing at least one query term by the tf-idf baseline.
 
     Empty queries and queries matching nothing yield an empty list. Ties
@@ -189,7 +188,7 @@ def index_to_json(corpus: Corpus) -> str:
             for d in corpus.documents.values()
         ],
     }
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
 def _document(rec: dict) -> Document:

@@ -1,9 +1,9 @@
-"""Exception types, and the one way JSON artifacts and inputs are read.
+"""Exception types, and the one way JSON artifacts and inputs are read and written.
 
 Readers parse through `json_object` (one object per file) or `json_lines`
 (one object per line) and read fields inside `malformed`, so bad input
 always ends as a DataError (CLI exit 2), never as a raw KeyError or
-TypeError.
+TypeError.  Whole-file JSON artifacts are written by `canonical_json`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ def _not_json(constant: str):
 
 _DECODER = json.JSONDecoder(parse_constant=_not_json)  # NaN and Infinity are refused
 _JSON_SPACE = " \t\n\r"  # the whitespace JSON allows around a value
+DATA_EXIT = 2  # the exit code of a command that stops on a ChainrankError
 
 
 class ChainrankError(Exception):
@@ -38,6 +39,11 @@ class LogParseError(DataError):
 
 class StageError(ChainrankError):
     """A pipeline stage cannot run (missing upstream artifact, version mismatch)."""
+
+
+def canonical_json(value) -> str:
+    """The one text of `value`: sorted keys, no spaces, non-ASCII written as is."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
 def json_object(text: str, what: str, version: int | None = None) -> dict:

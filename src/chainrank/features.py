@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Threshold ranks 1..10 then 15,20,...,100.
-RANK_THRESHOLDS: tuple[int, ...] = tuple(range(1, 11)) + tuple(range(15, 101, 5))
+from .corpus import BASE_DEPTH
+
+# Threshold ranks 1..10 then 15,20,...,BASE_DEPTH.
+RANK_THRESHOLDS: tuple[int, ...] = tuple(range(1, 11)) + tuple(range(15, BASE_DEPTH + 1, 5))
 N_RANK_FEATURES = len(RANK_THRESHOLDS)
 assert N_RANK_FEATURES == 28
 BASE_FN = "base"  # the name of the one base ranking, in requests and model artifacts

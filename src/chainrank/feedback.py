@@ -52,6 +52,7 @@ class Strategy(str, Enum):
     CLICK_TOP_TWO_EARLIER_QUERY = "S6"
 
 
+MODES = ("qc", "nc")  # mining modes: with the chain strategies S3-S6, or without
 WITHIN_QUERY_STRATEGIES = (Strategy.CLICK_SKIP_ABOVE, Strategy.CLICK_FIRST_NO_CLICK_SECOND)
 PREV_QUERY_STRATEGIES = (
     Strategy.CLICK_SKIP_ABOVE_PREV_QUERY, Strategy.CLICK_FIRST_NO_CLICK_SECOND_PREV_QUERY,
@@ -198,9 +199,8 @@ def prefs_for_log(
     The S1/S2 subset is identical across modes, so the "nc" output is always
     contained in the "qc" output for the same seed.
     """
-    mode = mode.lower()
-    if mode not in ("qc", "nc"):
-        raise DataError(f"mode must be 'qc' or 'nc', got {mode!r}")
+    if mode not in MODES:
+        raise DataError(f"mode must be one of {MODES}, got {mode!r}")
     pool = _padding(padding_pool) if mode == "qc" else []
     out: list[Preference] = []
     for chain in sorted(chains, key=lambda c: c.chain_id):

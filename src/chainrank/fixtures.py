@@ -25,7 +25,7 @@ import json
 import numpy as np
 
 from .corpus import Document
-from .errors import ChainrankError, DataError
+from .errors import DATA_EXIT, ChainrankError, DataError
 from .simulate import Intent
 
 _TOPICS: dict[str, list[str]] = {
@@ -77,9 +77,10 @@ N_DISTRACTORS = 3
 _FOREIGN_DOC_IDX = (7, 8)
 _DECOY_IDX = (10, 11, 12, 13, 14, 15)
 _DEEP_TARGET_IDX = 20
+DEFAULT_DOCS, DEFAULT_SEED = 1000, 13  # the fixture of the experiments and benchmarks
 
 
-def make_fixture(n_docs: int = 1000, seed: int = 13) -> tuple[list[Document], list[Intent]]:
+def make_fixture(n_docs: int = DEFAULT_DOCS, seed: int = DEFAULT_SEED) -> tuple[list[Document], list[Intent]]:
     """Build the synthetic corpus and its nine intents. Deterministic per seed."""
     n_topics = len(_TOPICS)
     if n_docs < 30 * n_topics:
@@ -170,8 +171,8 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("out_dir", type=Path)
-    parser.add_argument("--docs", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=13)
+    parser.add_argument("--docs", type=int, default=DEFAULT_DOCS)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args(argv)
 
     try:
@@ -181,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         (args.out_dir / "intents.json").write_text(write_intents(intents), encoding="utf-8")
     except (ChainrankError, OSError) as exc:  # an OSError's text names its path
         print(f"chainrank.fixtures: {exc}", file=sys.stderr)
-        return 2
+        return DATA_EXIT
     print(f"wrote {len(docs)} docs and {len(intents)} intents to {args.out_dir}")
     return 0
 

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 from typing import Union
 
+from .corpus import BASE_DEPTH
 from .errors import DataError, json_lines, string, strings
 
 LOG_VERSION = 2  # stamped in the log artifact's sidecar
-MAX_RESULTS = 100
 
 
 @dataclass
@@ -39,8 +39,8 @@ class QueryEvent:
     def __post_init__(self):
         if self.timestamp < 0:
             raise DataError(f"query {self.query_id}: negative timestamp")
-        if len(self.results) > MAX_RESULTS:
-            raise DataError(f"query {self.query_id}: more than {MAX_RESULTS} results")
+        if len(self.results) > BASE_DEPTH:
+            raise DataError(f"query {self.query_id}: more than {BASE_DEPTH} results")
         if len(set(self.results)) != len(self.results):
             raise DataError(f"query {self.query_id}: duplicate doc in results")
 
@@ -85,10 +85,11 @@ def _check_click(click: ClickEvent, query: QueryEvent) -> None:
 def parse_log(text: str) -> SearchLog:
     """Parse and validate a JSON-lines log in one pass.
 
-    Each record is checked as it is read: field types, a click against the
-    query it references (known, rank within its results, the document at
-    that rank), and timestamps that never decrease within a session.  Any
-    fault raises LogParseError with the line number.
+    Each record is checked as it is read: field types, a query id not used
+    by an earlier query, a click against the query it references (known,
+    rank within its results, the document at that rank), and timestamps
+    that never decrease within a session.  Any fault raises LogParseError
+    with the line number.
     """
     queries: dict[str, QueryEvent] = {}
     last_t: dict[str, int] = {}
@@ -103,6 +104,8 @@ def parse_log(text: str) -> SearchLog:
                 terms=strings(rec["terms"]),
                 results=strings(rec["results"]),
             )
+            if ev.query_id in queries:
+                raise DataError(f"query id {ev.query_id!r} repeats an earlier query record")
             queries[ev.query_id] = ev
             session = ev.session_id
         elif kind == "click":

@@ -16,7 +16,6 @@ derived from (config seed, stage number).
 from __future__ import annotations
 
 import contextlib
-import json
 import logging
 import numbers
 import os
@@ -27,13 +26,13 @@ from typing import Any, Callable
 import numpy as np
 
 from .chains import DEFAULT_WINDOW_SECONDS, read_chains, segment_log, write_chains
-from .corpus import Corpus, base_retrieve, build_index, index_from_json, index_to_json, load_documents, tokenize
-from .errors import DataError, StageError, json_object, malformed
+from .corpus import BASE_DEPTH, Corpus, base_retrieve, build_index, index_from_json, index_to_json, load_documents, tokenize
+from .errors import DataError, StageError, canonical_json, json_object, malformed
 from .features import BASE_FN, N_RANK_FEATURES, FeatureSpace, SparseVector, first_threshold
-from .feedback import Preference, prefs_for_log, read_preferences, strategy_counts, write_preferences
+from .feedback import MODES, Preference, prefs_for_log, read_preferences, strategy_counts, write_preferences
 from .interleave import sign_test
 from .logs import LOG_VERSION, SearchLog, parse_log, write_log
-from .ranking import BASE_DEPTH, RerankRequest, ScoredEntry, ScoredRanking, rerank
+from .ranking import RerankRequest, ScoredEntry, ScoredRanking, rerank
 from .simulate import (Intent, PairEvalResult, UserBehavior, interleaved_eval, read_intents,
                        read_truth, simulate, write_truth)
 from .solver import (DEFAULT_C, DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, DEFAULT_W_MIN, Model,
@@ -45,7 +44,7 @@ ARTIFACT_VERSION = 1
 _STAGE_SEEDS = {"simulate": 1, "prefs": 2, "interleave": 3}
 
 
-SIDES = ("base", "qc", "nc")  # the rankers an interleaved comparison can name
+SIDES = ("base", *MODES)  # the rankers an interleaved comparison can name
 _SCALAR_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real}
 
 
@@ -121,10 +120,6 @@ def _stage_seed(seed: int, stage: str) -> int:
 # Artifact stores
 
 
-def _canonical_json(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 def _parse_eval(text: str) -> dict:
     raw = json_object(text, "eval artifact")
     if raw.get("version") != ARTIFACT_VERSION:
@@ -156,8 +151,8 @@ _FORMATS = {
     "chains": _Format(".jsonl", "chains", write_chains, read_chains, needs=("log",)),
     "prefs": _Format(".jsonl", "prefs", write_preferences, read_preferences),
     "model": _Format(".json", "train", model_to_json, model_from_json, sidecar=False),
-    "eval": _Format(".json", "interleave", _canonical_json, _parse_eval),
-    "report": _Format(".json", "report", _canonical_json,
+    "eval": _Format(".json", "interleave", canonical_json, _parse_eval),
+    "report": _Format(".json", "report", canonical_json,
                       lambda text: json_object(text, "report artifact")),
 }
 
@@ -262,7 +257,7 @@ class DiskStore:
             path.parent.mkdir(parents=True, exist_ok=True)
             _write_atomic(path, text)
             if fmt.sidecar:
-                _write_atomic(meta_path, _canonical_json(
+                _write_atomic(meta_path, canonical_json(
                     {"version": fmt.version, "stage": fmt.producer, **meta}))
         except OSError as exc:
             raise StageError(f"cannot write artifact {path}: {exc}") from exc
@@ -411,7 +406,8 @@ def stage_chains(cfg: ExperimentConfig, store) -> None:
 def stage_prefs(cfg: ExperimentConfig, store, mode: str = "qc") -> None:
     searchlog, chain_list = store["log"], store["chains"]
     seed = _stage_seed(cfg.seed, "prefs")
-    prefs = prefs_for_log(searchlog, chain_list, mode, store["index"].doc_ids(), seed)
+    pool = store["index"].doc_ids() if mode == "qc" else None  # only qc pads with documents
+    prefs = prefs_for_log(searchlog, chain_list, mode, pool, seed)
     store.put(f"prefs_{mode}", prefs, mode=mode, seed=seed, counts=strategy_counts(prefs))
     log.info("generated %d %s preferences", len(prefs), mode)
 
@@ -502,8 +498,7 @@ def run_experiment(
 
     Keyword arguments are `ExperimentConfig` fields and take its defaults,
     except the smaller session counts.  `behavior` sets `noise`,
-    `scan_persistence` and `reformulate_prob`; a UserBehavior field the
-    config does not carry must keep its default, or DataError is raised.
+    `scan_persistence` and `reformulate_prob`, the three fields it has.
     """
     if behavior is not None:
         config.update(noise=behavior.click_noise, scan_persistence=behavior.scan_persistence,
@@ -511,9 +506,6 @@ def run_experiment(
     # the inputs are in the store, so the config names no input paths
     cfg = ExperimentConfig(corpus="", intents="", sessions=sessions,
                            eval_sessions=eval_sessions, **config)
-    if behavior is not None and behavior != cfg.behavior():
-        raise DataError(f"run_experiment cannot carry {behavior}: only click_noise, "
-                        "scan_persistence and reformulate_prob may differ from the defaults")
     modes = sorted({m for pair in cfg.comparisons for m in pair} - {"base"})
     store = MemoryStore(docs=docs, intents=intents)
     stage_index(cfg, store)

@@ -21,11 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import RankedList
-from .features import BASE_FN, RANK_THRESHOLDS, first_threshold
+from .corpus import BASE_DEPTH, RankedList
+from .features import BASE_FN, first_threshold
 from .solver import Model
 
-BASE_DEPTH = RANK_THRESHOLDS[-1]  # base results beyond this rank are feature-invisible
 _UNRANKED = 10**9  # sort position of a document not in the base ranking
 
 

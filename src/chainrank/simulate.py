@@ -2,10 +2,10 @@
 
 Synthetic users pursue an information need (an Intent) by walking a scripted
 sequence of query reformulations against a live ranker.  Scanning is strictly
-top-down: the first result is always assessed, the second when
-`min_view_top2` is set, later ones with probability `scan_persistence`, and
-the result just below a click is always assessed when `view_one_below_click`
-is set.  A viewed document is clicked with probability
+top-down: the first two results and the one just below a click are always
+assessed, any other one with probability `scan_persistence`, and the scan
+stops at the first result not assessed.  A viewed document is clicked with
+probability
 
     relevance * (1 - noise) + (1 - relevance) * noise
 
@@ -24,13 +24,12 @@ index): generation order cannot change the output.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 from typing import Callable
 
 from .corpus import Corpus, RankedList
-from .errors import DataError, json_lines, json_object, malformed, string, strings
+from .errors import DataError, canonical_json, json_lines, json_object, malformed, string, strings
 from .feedback import Preference
 from .interleave import Interleaving, attribute, combine
 from .logs import ClickEvent, QueryEvent, SearchLog
@@ -40,6 +39,8 @@ Ranker = Callable[[list[str], int], RankedList]
 
 INTENTS_VERSION = 1
 SESSION_GAP_SECONDS = 86400  # distinct sessions sit at least a day apart
+REFORMULATE_GAP_SECONDS = (5, 300)  # pause before the next query of a script
+INTENT_GAP_SECONDS = (1900, 3600)  # pause before a new need: above the default chain window
 
 
 @dataclass(frozen=True)
@@ -63,21 +64,17 @@ class Intent:
 
 @dataclass(frozen=True)
 class UserBehavior:
+    """The simulated user's probabilities; the viewing rules and pauses are fixed."""
+
     scan_persistence: float = 0.85
     click_noise: float = 0.0
-    min_view_top2: bool = True
-    view_one_below_click: bool = True
     reformulate_prob: float = 0.95
-    min_gap_seconds: int = 5
-    max_gap_seconds: int = 300
 
     def __post_init__(self):
-        for name in ("scan_persistence", "click_noise", "reformulate_prob"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not 0.0 <= v <= 1.0:
-                raise DataError(f"{name} must be in [0,1], got {v}")
-        if not 0 < self.min_gap_seconds <= self.max_gap_seconds:
-            raise DataError("need 0 < min_gap_seconds <= max_gap_seconds")
+                raise DataError(f"{f.name} must be in [0,1], got {v}")
 
 
 @dataclass
@@ -100,14 +97,9 @@ def scan_and_click(grades: list[float], behavior: UserBehavior, rng: Uniforms) -
     eps = behavior.click_noise
     clicked: list[int] = []
     for i in range(len(grades)):
-        if i == 0:
-            pass  # the first result is always assessed
-        else:
-            forced = (i == 1 and behavior.min_view_top2) or (
-                behavior.view_one_below_click and clicked and clicked[-1] == i - 1
-            )
-            if not forced and rng.random() >= behavior.scan_persistence:
-                break
+        forced = i < 2 or (clicked and clicked[-1] == i - 1)
+        if not forced and rng.random() >= behavior.scan_persistence:
+            break
         p_click = grades[i] * (1.0 - eps) + (1.0 - grades[i]) * eps
         if rng.random() < p_click:
             clicked.append(i)
@@ -137,15 +129,14 @@ def simulate(
     seed: int,
     results_per_query: int = 10,
     multi_intent_prob: float = 0.0,
-    intent_gap: tuple[int, int] = (1900, 3600),
 ) -> tuple[SearchLog, list[TruthRecord]]:
     """Generate a log plus ground-truth sidecar; byte-deterministic per seed.
 
     Sessions cycle through the intents.  With probability `multi_intent_prob`
     a session continues with another information need (never one it already
     pursued, so the intent id is a valid chain label) after a pause drawn
-    from `intent_gap`; keep that gap above the chain window to leave
-    heuristic segmentation exact, or below it to study its errors.
+    from INTENT_GAP_SECONDS, which is above the default chain window, so
+    heuristic segmentation stays exact.
 
     `corpus` is the collection `ranker` serves.  The log names documents by
     id only, so nothing here reads it.
@@ -182,13 +173,13 @@ def simulate(
                 if qi < len(intent.query_script) - 1:
                     if rng.random() >= behavior.reformulate_prob:
                         break
-                    t += int(rng.integers(behavior.min_gap_seconds,
-                                          behavior.max_gap_seconds + 1))
+                    t += int(rng.integers(REFORMULATE_GAP_SECONDS[0],
+                                          REFORMULATE_GAP_SECONDS[1] + 1))
             unused = [i for i in range(len(intents)) if i not in used]
             if unused and rng.random() < multi_intent_prob:
                 intent_idx = unused[int(rng.integers(len(unused)))]
                 used.add(intent_idx)
-                t += int(rng.integers(intent_gap[0], intent_gap[1] + 1))
+                t += int(rng.integers(INTENT_GAP_SECONDS[0], INTENT_GAP_SECONDS[1] + 1))
             else:
                 break
     return SearchLog(events), truth
@@ -253,7 +244,10 @@ def interleaved_eval(
 ) -> PairEvalResult:
     """Present combined rankings to simulated users and tally per-query winners.
 
-    The leading side is drawn once per session (the user keeps one blend for
+    A session walks its intent's whole script and stops early only once
+    satisfied: unlike `simulate`, it never abandons the script, so
+    `behavior.reformulate_prob` plays no part here.  The leading side is
+    drawn once per session (the user keeps one blend for
     the whole session) from the same derived generator as everything else.
     Each distinct (intent, both rankings, leading side) is interleaved once
     per call; the rankings key the memo, so a ranker may return different
@@ -309,10 +303,7 @@ def write_truth(records: list[TruthRecord]) -> str:
     for r in records:
         relevance = encoded.get(id(r.relevance))
         if relevance is None:
-            relevance = encoded[id(r.relevance)] = json.dumps(
-                {d: r.relevance[d] for d in sorted(r.relevance)},
-                ensure_ascii=False, separators=(",", ":"),
-            )
+            relevance = encoded[id(r.relevance)] = canonical_json(r.relevance)
         out.append(f'{{"qid":{q(r.query_id)},"intent":{q(r.intent_id)},"relevance":{relevance}}}\n')
     return "".join(out)
 
@@ -329,13 +320,13 @@ def write_intents(intents: list[Intent]) -> str:
         "intents": [
             {
                 "intent_id": it.intent_id,
-                "relevant_docs": {d: it.relevant_docs[d] for d in sorted(it.relevant_docs)},
+                "relevant_docs": it.relevant_docs,
                 "query_script": [list(q) for q in it.query_script],
             }
             for it in intents
         ],
     }
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
 def read_intents(text: str) -> list[Intent]:

@@ -34,13 +34,12 @@ the pipeline trains through.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, json_object, malformed
+from .errors import DataError, canonical_json, json_object, malformed
 from .features import BASE_FN, N_RANK_FEATURES, RANK_THRESHOLDS, FeatureSpace, SparseVector
 
 DEFAULT_C = 1.0
@@ -108,12 +107,12 @@ def slack_report(model_or_w, constraints: list[PreferenceConstraint]) -> SlackRe
 
 
 def _aggregate(constraints: list[PreferenceConstraint], dim: int):
-    """Collapse duplicate deltas into CSR-style arrays with multiplicities.
+    """Collapse duplicate deltas: (rows of (id, value) pairs, counts, dropped).
 
-    Zero deltas are dropped with a warning; the last value returned is how many.
+    Rows and their multiplicities come in order of first occurrence.  Zero
+    deltas are dropped with a warning; the last value returned is how many.
     """
-    groups: dict[tuple, int] = {}
-    order: list[tuple] = []
+    counts: dict[tuple, int] = {}
     n_zero = 0
     for c in constraints:
         if not c.delta.ids:
@@ -125,28 +124,9 @@ def _aggregate(constraints: list[PreferenceConstraint], dim: int):
                 f"constraint feature id {c.delta.ids[-1]} outside dimension {dim}"
             )
         key = (c.delta.ids, c.delta.values)
-        if key not in groups:
-            groups[key] = 0
-            order.append(key)
-        groups[key] += 1
-
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    counts: list[int] = []
-    for key in order:
-        ids, values = key
-        indices.extend(ids)
-        data.extend(values)
-        indptr.append(len(indices))
-        counts.append(groups[key])
-    return (
-        np.array(indptr, dtype=np.int64),
-        np.array(indices, dtype=np.int64),
-        np.array(data, dtype=float),
-        np.array(counts, dtype=float),
-        n_zero,
-    )
+        counts[key] = counts.get(key, 0) + 1
+    rows = [tuple(zip(ids, values)) for ids, values in counts]
+    return rows, list(counts.values()), n_zero
 
 
 def _split(row_pairs, ub, held, released, w_min):
@@ -276,11 +256,9 @@ def train_ranking(
     if bounded and bounded[-1] >= dim:
         raise DataError("bounded dim outside dimension")
 
-    indptr, indices, data, counts, n_zero = _aggregate(constraints, dim)
-    n = len(counts)
-    ids, vals, ptr = indices.tolist(), data.tolist(), indptr.tolist()
-    row_pairs = [tuple(zip(ids[ptr[i]: ptr[i + 1]], vals[ptr[i]: ptr[i + 1]])) for i in range(n)]
-    ub = [c * C for c in counts.tolist()]
+    row_pairs, counts, n_zero = _aggregate(constraints, dim)
+    n = len(row_pairs)
+    ub = [float(c) * C for c in counts]
 
     # Active set: every bounded dim starts held at w_min.  A held dim whose
     # (D^T alpha)_d exceeds w_min would need beta_d < 0, so it is released
@@ -339,10 +317,13 @@ def train_ranking(
     # and one violation.  P = 0.5|w|^2 + C sum count_i hinge_i;  D = sum alpha
     # + w_min sum beta - 0.5|D^T alpha + beta|^2, with beta placed on the
     # bounded dims (w_min - (D^T alpha)_d for a held dim).
-    row_of = np.repeat(np.arange(n), np.diff(indptr))
+    indices = np.array([j for pairs in row_pairs for j, _ in pairs], dtype=np.int64)
+    data = np.array([v for pairs in row_pairs for _, v in pairs], dtype=float)
+    row_of = np.repeat(np.arange(n), np.array([len(pairs) for pairs in row_pairs], dtype=np.int64))
+    counts_v = np.array(counts, dtype=float)
     margins = np.bincount(row_of, weights=data * w[indices], minlength=n)
     hinge = np.maximum(0.0, 1.0 - margins)
-    primal = 0.5 * float(w @ w) + C * float(counts @ hinge)
+    primal = 0.5 * float(w @ w) + C * float(counts_v @ hinge)
     alpha_v = np.array(alpha, dtype=float)
     beta_v = np.array([beta[d] for d in bounded], dtype=float)
     v = np.bincount(indices, weights=data * alpha_v[row_of], minlength=dim).astype(float)
@@ -352,7 +333,7 @@ def train_ranking(
         weights=w,
         iterations=iterations,
         objective=primal + C * n_zero,
-        violations=int(counts[hinge >= 1.0].sum()) + n_zero,
+        violations=int(counts_v[hinge >= 1.0].sum()) + n_zero,
         converged=converged,
         gap=(primal - dual) / max(1.0, abs(primal)),
         rounds=rounds,
@@ -449,7 +430,7 @@ def model_to_json(model: Model) -> str:
         ],
         "meta": model.meta,
     }
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
 def model_from_json(text: str) -> Model:

@@ -101,7 +101,7 @@ def test_read_chains_round_trips_simulated_log_with_clicks():
     log, _ = simulate(
         corpus, lambda terms, k: base_retrieve(corpus, terms, k),
         intents, UserBehavior(click_noise=0.1), n_sessions=25, seed=4,
-        multi_intent_prob=0.5, intent_gap=(60, 3600),
+        multi_intent_prob=0.5,
     )
     chains = segment_log(log)
     assert len({c.session_id for c in chains}) == 25 and len(chains) > 25

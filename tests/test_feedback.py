@@ -253,8 +253,9 @@ def test_nc_subset_of_qc_and_s1_s2_identical():
 def test_mode_validation_and_empty_log():
     log = SearchLog([])
     assert prefs_for_log(log, [], "qc") == []
-    with pytest.raises(DataError):
-        prefs_for_log(log, [], "bogus")
+    for mode in ("bogus", "QC"):  # modes are exact names: no case folding
+        with pytest.raises(DataError, match="mode must be one of"):
+            prefs_for_log(log, [], mode)
 
 
 def test_single_query_chains_make_qc_equal_nc():

@@ -157,6 +157,13 @@ def test_click_rank_inconsistent():
         parse_log(text)
 
 
+def test_repeated_query_id_rejected_naming_the_line():
+    q1 = make_query("q1", "s1", 10, ["a"], ["d1"])
+    q2 = make_query("q1", "s2", 20, ["b"], ["d2"])
+    with pytest.raises(LogParseError, match="^line 2: query id 'q1' repeats"):
+        parse_log(write_log(SearchLog([q1, q2])))
+
+
 def test_decreasing_timestamps_rejected():
     q1 = make_query("q1", "s1", 100, ["a"], ["d1"])
     q2 = make_query("q2", "s1", 50, ["b"], ["d2"])

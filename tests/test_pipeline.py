@@ -2,11 +2,13 @@ import errno
 import json
 import os
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chainrank import pipeline
 from chainrank.chains import DEFAULT_WINDOW_SECONDS, segment_log
 from chainrank.cli import main as cli_main
 from chainrank.corpus import build_index
@@ -173,11 +175,34 @@ def test_cli_stages_match_run_experiment(cfg, small_fixture):
         assert text == model_to_json(art.models[mode]), mode
 
 
-def test_run_experiment_refuses_behavior_it_cannot_carry(small_fixture):
+def test_run_experiment_carries_every_behavior_field(small_fixture, monkeypatch):
+    behavior = UserBehavior(scan_persistence=0.5, click_noise=0.2, reformulate_prob=0.7)
+    assert all(getattr(behavior, f.name) != f.default for f in fields(UserBehavior))
+    seen = []
+    stage_simulate = pipeline.stage_simulate
+
+    def recording(cfg, store):
+        seen.append(cfg.behavior())
+        stage_simulate(cfg, store)
+
+    monkeypatch.setattr(pipeline, "stage_simulate", recording)
     docs, intents = small_fixture
-    with pytest.raises(DataError, match="min_view_top2=False"):
-        run_experiment(docs, intents, sessions=2, eval_sessions=2,
-                       behavior=UserBehavior(min_view_top2=False))
+    run_experiment(docs, intents, sessions=2, eval_sessions=2, behavior=behavior)
+    assert seen == [behavior]
+
+
+def test_nc_prefs_run_without_the_index(cfg):
+    run_stage("index", cfg)
+    run_stage("simulate", cfg)
+    run_stage("chains", cfg)
+    run_stage("prefs", cfg, mode="nc")
+    before = {name: cfg.path(name).read_bytes()
+              for name in ("prefs_nc.jsonl", "prefs_nc.jsonl.meta.json")}
+    for name in ("index.json", *before):
+        cfg.path(name).unlink()
+    assert cli_main(["prefs", "--mode", "nc", "--config", str(cfg.config_path)]) == 0
+    for name, data in before.items():
+        assert cfg.path(name).read_bytes() == data, name
 
 
 def test_report_golden_counts():
@@ -577,6 +602,14 @@ def _truncate(text):
     return text[: len(text) // 2]
 
 
+def _repeat_first_qid(records):
+    """Give the second query record, and its clicks, the query id of the first."""
+    first, second = [r["qid"] for r in records if r["type"] == "query"][:2]
+    for r in records:
+        if r["qid"] == second:
+            r["qid"] = first
+
+
 # (file in the run directory, corruption, the stage that reads the file)
 FAULTS = {
     "log-session-not-string": ("out/log.jsonl", _edit_record(1, lambda r: r.update(session=5)),
@@ -584,6 +617,7 @@ FAULTS = {
     "log-truncated-line": ("out/log.jsonl", _edit_line(3, _truncate), ["chains"]),
     "log-infinite-time": ("out/log.jsonl", _edit_record(1, lambda r: r.update(t=float("inf"))),
                           ["chains"]),
+    "log-repeated-qid": ("out/log.jsonl", _edit_records(_repeat_first_qid), ["chains"]),
     "chains-truncated-line": ("out/chains.jsonl", _edit_line(2, _truncate),
                               ["prefs", "--mode", "qc"]),
     "chains-array-line": ("out/chains.jsonl", _edit_line(2, lambda line: "[1]"),

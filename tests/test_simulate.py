@@ -76,16 +76,15 @@ def test_sessions_are_a_day_apart_and_gaps_bounded(small_world):
 
 def test_scan_never_clicks_unviewed():
     rng = np.random.default_rng(0)
-    # persistence 0 and no forced views beyond the top two: clicks at ranks
-    # 1..2 only, regardless of relevance below
-    behavior = UserBehavior(scan_persistence=0.0, view_one_below_click=False)
-    clicks = scan_and_click([1.0, 1.0, 1.0, 1.0], behavior, rng)
-    assert set(clicks) <= {0, 1}
+    # persistence 0: ranks 1 and 2 are viewed, and rank 2 is not clicked, so
+    # nothing forces rank 3 into view; the relevant ranks 3 and 4 go unclicked
+    behavior = UserBehavior(scan_persistence=0.0)
+    assert scan_and_click([1.0, 0.0, 1.0, 1.0], behavior, rng) == [0]
 
 
 def test_one_below_click_extends_scan():
     rng = np.random.default_rng(0)
-    behavior = UserBehavior(scan_persistence=0.0, view_one_below_click=True)
+    behavior = UserBehavior(scan_persistence=0.0)
     # cascade: each click forces one more viewed rank
     clicks = scan_and_click([1.0, 1.0, 1.0, 0.0, 1.0], behavior, rng)
     assert clicks == [0, 1, 2]  # rank 4 viewed but irrelevant; rank 5 never viewed
@@ -326,8 +325,6 @@ def test_write_truth_matches_json_dumps(maps, picks):
 def test_behavior_validation():
     with pytest.raises(DataError):
         UserBehavior(click_noise=1.5)
-    with pytest.raises(DataError):
-        UserBehavior(min_gap_seconds=0)
 
 
 def test_intent_validation():
