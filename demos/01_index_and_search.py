@@ -28,8 +28,8 @@ for query in (["rare", "books"], ["special", "collections"], ["tea"]):
     print(f"\nquery {' '.join(query)!r}:")
     if not ranking.entries:
         print("  (no results)")
-    for e in ranking.entries:
-        print(f"  {e.rank}. {e.doc_id:<10} score {e.score:.4f}")
+    for rank, e in enumerate(ranking.entries, start=1):
+        print(f"  {rank}. {e.doc_id:<10} score {e.score:.4f}")
 
 # Title terms count double, so 'rare books room' dominates the first query,
 # and a query matching nothing returns an empty ranking rather than an error.

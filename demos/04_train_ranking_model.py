@@ -32,8 +32,8 @@ for term, doc, w in model.term_doc_items():
 report = slack_report(model, constraints)
 print("\nconstraints still violated:", report.violations, "of", len(constraints))
 
-base = {"base": RankedList("q", [
-    RankEntry(d, float(len(base_docs) - i), i + 1) for i, d in enumerate(base_docs)
+base = {"base": RankedList([
+    RankEntry(d, float(len(base_docs) - i)) for i, d in enumerate(base_docs)
 ])}
 out = rerank(RerankRequest(query, base, model, k=5))
 print("\nserved ranking for 'ndlf':")

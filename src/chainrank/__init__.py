@@ -14,7 +14,7 @@ from .feedback import Preference, Strategy, prefs_cross_query, prefs_for_log, pr
 from .interleave import Attribution, Interleaving, attribute, combine, sign_test
 from .logs import ClickEvent, QueryEvent, SearchLog, group_sessions, parse_log, write_log
 from .pipeline import ExperimentConfig, run_experiment, run_stage
-from .ranking import RerankRequest, ScoredRanking, candidates, rerank, score
+from .ranking import RerankRequest, candidates, rerank, score
 from .simulate import Intent, UserBehavior, interleaved_eval, simulate, strategy_accuracy
 from .solver import (
     Model,

@@ -1,10 +1,15 @@
-"""Document corpus, inverted index, and the baseline retrieval function.
+"""Document corpus, inverted index, the baseline retrieval function, and rankings.
 
 The baseline scorer is a tf-idf cosine variant: ln-scaled term frequencies,
 smoothed idf, title tokens counted twice, and scores normalized by the
 document vector norm only.  Dropping the query-norm constant does not change
 the ranking for a fixed query and keeps scores monotone in added matching
 query terms.
+
+`RankedList` is the one ranking type: base retrieval, a learned model's
+reranking and the CLI's `rerank` stage all return it.  An entry's rank is its
+position plus one.  Its origin is "base_results", or "term_association" for a
+document a reranking brought in from outside the base ranking.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .errors import DataError, canonical_json, json_lines, json_object, malforme
 INDEX_VERSION = 1
 _DOCUMENT_FIELDS = {"doc_id", "title", "body"}
 BASE_DEPTH = 100  # base results retrieved per query, and the deepest rank feature
+RESULTS_PER_QUERY = 10  # results shown per query, and the default depth of a reranking
 
 _TOKEN = re.compile(r"[0-9a-z]+")
 
@@ -56,26 +62,25 @@ class Document:
 class RankEntry:
     doc_id: str
     score: float
-    rank: int
+    origin: str = "base_results"  # or "term_association": reranked in from outside the base
 
 
 @dataclass
 class RankedList:
-    """Ordered retrieval result: consecutive 1-based ranks, non-increasing scores."""
+    """Ordered ranking: non-increasing scores, each doc once; rank is position + 1."""
 
-    query_id: str
     entries: list[RankEntry]
 
     def __post_init__(self):
         seen = set()
-        for i, e in enumerate(self.entries):
-            if e.rank != i + 1:
-                raise DataError(f"ranks must be consecutive from 1, got {e.rank} at {i}")
-            if i and e.score > self.entries[i - 1].score:
+        previous = math.inf
+        for e in self.entries:
+            if e.score > previous:
                 raise DataError("scores must be non-increasing")
             if e.doc_id in seen:
                 raise DataError(f"duplicate doc_id in ranking: {e.doc_id}")
             seen.add(e.doc_id)
+            previous = e.score
 
     def doc_ids(self) -> list[str]:
         return [e.doc_id for e in self.entries]
@@ -176,7 +181,7 @@ def base_retrieve(corpus: Corpus, query_terms: list[str], k: int = BASE_DEPTH) -
             scores[doc_id] = scores.get(doc_id, 0.0) + q_w * ((1.0 + log(wtf)) * t_idf)
     scored = [(d, s / norms[d]) for d, s in sorted(scores.items())]
     scored.sort(key=lambda p: (-p[1], p[0]))
-    return RankedList("", [RankEntry(d, s, i + 1) for i, (d, s) in enumerate(scored[:k])])
+    return RankedList([RankEntry(d, s) for d, s in scored[:k]])
 
 
 def index_to_json(corpus: Corpus) -> str:

@@ -26,13 +26,14 @@ from typing import Any, Callable
 import numpy as np
 
 from .chains import DEFAULT_WINDOW_SECONDS, read_chains, segment_log, write_chains
-from .corpus import BASE_DEPTH, Corpus, base_retrieve, build_index, index_from_json, index_to_json, load_documents, tokenize
+from .corpus import (BASE_DEPTH, RESULTS_PER_QUERY, Corpus, RankedList, base_retrieve, build_index,
+                     index_from_json, index_to_json, load_documents, tokenize)
 from .errors import DataError, StageError, canonical_json, json_object, malformed
 from .features import BASE_FN, N_RANK_FEATURES, FeatureSpace, SparseVector, first_threshold
 from .feedback import MODES, Preference, prefs_for_log, read_preferences, strategy_counts, write_preferences
 from .interleave import sign_test
 from .logs import LOG_VERSION, SearchLog, parse_log, write_log
-from .ranking import RerankRequest, ScoredEntry, ScoredRanking, rerank
+from .ranking import RerankRequest, rerank
 from .simulate import (Intent, PairEvalResult, UserBehavior, interleaved_eval, read_intents,
                        read_truth, simulate, write_truth)
 from .solver import (DEFAULT_C, DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, DEFAULT_W_MIN, Model,
@@ -61,7 +62,7 @@ class ExperimentConfig:
     seed: int = 7
     sessions: int = 2000
     eval_sessions: int = 1000
-    results_per_query: int = 10
+    results_per_query: int = RESULTS_PER_QUERY
     window_seconds: int = DEFAULT_WINDOW_SECONDS
     C: float = DEFAULT_C
     w_min: float = DEFAULT_W_MIN
@@ -121,9 +122,7 @@ def _stage_seed(seed: int, stage: str) -> int:
 
 
 def _parse_eval(text: str) -> dict:
-    raw = json_object(text, "eval artifact")
-    if raw.get("version") != ARTIFACT_VERSION:
-        raise StageError(f"eval artifact {raw.get('modes')} has wrong version")
+    raw = json_object(text, "eval artifact", ARTIFACT_VERSION)
     with malformed("eval artifact"):
         if not all(isinstance(raw[key], int) for key in ("wins_a", "wins_b", "ties", "impressions")):
             raise TypeError("wins_a, wins_b, ties and impressions must be integers")
@@ -234,7 +233,9 @@ class DiskStore:
         fmt, path, meta_path = self._file(name)
         if not path.exists():
             raise StageError(f"missing artifact {path}; run the '{fmt.producer}' stage first")
-        if fmt.sidecar and meta_path.exists():
+        if fmt.sidecar:
+            if not meta_path.exists():
+                raise StageError(f"missing sidecar {meta_path}; run the '{fmt.producer}' stage again")
             meta = _read(meta_path, lambda: json_object(meta_path.read_text(encoding="utf-8"),
                                                         f"sidecar {meta_path}"))
             if meta.get("version") != fmt.version:
@@ -265,33 +266,28 @@ class DiskStore:
         log.debug("wrote %s", path)
 
 
-def base_ranker(corpus: Corpus):
-    """Memoizing baseline ranker closure (queries repeat heavily in simulation)."""
+def _memoized(rank: Callable[[list[str], int], RankedList]):
+    """`rank` memoized per (terms, k): queries repeat heavily, and a repeat gets the same list."""
     cache: dict = {}
 
-    def rank(terms: list[str], k: int):
+    def ranker(terms: list[str], k: int) -> RankedList:
         key = (tuple(terms), k)
         if key not in cache:
-            cache[key] = base_retrieve(corpus, list(terms), k)
+            cache[key] = rank(list(terms), k)
         return cache[key]
 
-    return rank
+    return ranker
+
+
+def base_ranker(corpus: Corpus):
+    """Memoizing baseline ranker: the top k of `base_retrieve`."""
+    return _memoized(lambda terms, k: base_retrieve(corpus, terms, k))
 
 
 def model_ranker(corpus: Corpus, model: Model):
-    """Ranker closure serving a learned model over fresh base rankings."""
-    cache: dict = {}
-
-    def rank(terms: list[str], k: int):
-        key = (tuple(terms), k)
-        if key not in cache:
-            base = base_retrieve(corpus, list(terms), BASE_DEPTH)
-            cache[key] = rerank(
-                RerankRequest(list(terms), {BASE_FN: base}, model, k)
-            )
-        return cache[key]
-
-    return rank
+    """Memoizing ranker serving a learned model over a fresh base ranking."""
+    return _memoized(lambda terms, k: rerank(
+        RerankRequest(terms, {BASE_FN: base_retrieve(corpus, terms, BASE_DEPTH)}, model, k)))
 
 
 def build_constraints(
@@ -427,13 +423,8 @@ def _ranker(store, side: str):
 
 
 def stage_rerank(cfg: ExperimentConfig, store, query: str, mode: str = "qc",
-                 k: int | None = None) -> ScoredRanking:
-    ranking = _ranker(store, mode)(tokenize(query), k if k is not None else cfg.results_per_query)
-    if mode == "base":  # same entry type as a reranked list
-        ranking = ScoredRanking(ranking.query_id, [
-            ScoredEntry(e.doc_id, e.score, "base_results") for e in ranking.entries
-        ])
-    return ranking
+                 k: int | None = None) -> RankedList:
+    return _ranker(store, mode)(tokenize(query), k if k is not None else cfg.results_per_query)
 
 
 def stage_interleave(cfg: ExperimentConfig, store, pair: tuple[str, str] | None = None) -> None:

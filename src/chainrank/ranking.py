@@ -5,7 +5,9 @@ vector: the suffix sum of rank weights over thresholds at or above its rank
 in the base ranking, plus the term/document weights of the query terms.
 Candidates are the base results plus every document carrying a nonzero
 term/document weight for some query term, which is how documents absent from
-the base results can enter (or be pushed out of) the final ranking.
+the base results can enter (or be pushed out of) the final ranking.  The
+result is a `RankedList`, the type of the base ranking it reorders, so
+interleaving merges the two as peers.
 
 Scoring a candidate costs a few dict lookups.  Per model, and cached on it:
 a rank-score table mapping each base rank to its rank score, and a
@@ -16,12 +18,12 @@ tie-break and the origin, and the sorted distinct query terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .corpus import BASE_DEPTH, RankedList
+from .corpus import BASE_DEPTH, RESULTS_PER_QUERY, RankedList, RankEntry
 from .features import BASE_FN, first_threshold
 from .solver import Model
 
@@ -40,31 +42,12 @@ class RerankRequest:
     query_terms: list[str]
     base_rankings: dict[str, RankedList]
     model: Model
-    k: int = 10
+    k: int = RESULTS_PER_QUERY
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         _base_ranking(self.base_rankings)
-
-
-@dataclass
-class ScoredEntry:
-    doc_id: str
-    score: float
-    origin: str  # "base_results" | "term_association"
-
-
-@dataclass
-class ScoredRanking:
-    query_id: str
-    entries: list[ScoredEntry] = field(default_factory=list)
-
-    def doc_ids(self) -> list[str]:
-        return [e.doc_id for e in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def _rank_table(model: Model) -> list[float]:
@@ -94,8 +77,8 @@ def _term_weights(model: Model) -> dict[str, dict[str, float]]:
 
 
 def _ranks(base_rankings: dict[str, RankedList]) -> dict[str, int]:
-    """doc -> rank in the base ranking."""
-    return {e.doc_id: e.rank for e in _base_ranking(base_rankings).entries}
+    """doc -> rank in the base ranking, its position plus one."""
+    return {e.doc_id: i for i, e in enumerate(_base_ranking(base_rankings).entries, start=1)}
 
 
 def _scorer(query_terms: list[str], ranks: dict[str, int], model: Model) -> Callable[[str], float]:
@@ -141,7 +124,7 @@ def candidates(
     return out
 
 
-def rerank(request: RerankRequest) -> ScoredRanking:
+def rerank(request: RerankRequest) -> RankedList:
     """Score candidates and sort by score desc, then base rank asc, then doc_id.
 
     Documents not in the base ranking come last on ties and carry origin
@@ -154,7 +137,7 @@ def rerank(request: RerankRequest) -> ScoredRanking:
     score_doc = _scorer(terms, ranks, model)
     scored = [(doc, score_doc(doc)) for doc in candidates(terms, request.base_rankings, model)]
     scored.sort(key=lambda t: (-t[1], ranks.get(t[0], _UNRANKED), t[0]))
-    return ScoredRanking(request.base_rankings[BASE_FN].query_id, [
-        ScoredEntry(d, s, "base_results" if d in ranks else "term_association")
+    return RankedList([
+        RankEntry(d, s, "base_results" if d in ranks else "term_association")
         for d, s in scored[: request.k]
     ])

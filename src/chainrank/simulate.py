@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 from typing import Callable
 
-from .corpus import Corpus, RankedList
+from .corpus import RESULTS_PER_QUERY, Corpus, RankedList
 from .errors import DataError, canonical_json, json_lines, json_object, malformed, string, strings
 from .feedback import Preference
 from .interleave import Interleaving, attribute, combine
@@ -127,7 +127,7 @@ def simulate(
     behavior: UserBehavior,
     n_sessions: int,
     seed: int,
-    results_per_query: int = 10,
+    results_per_query: int = RESULTS_PER_QUERY,
     multi_intent_prob: float = 0.0,
 ) -> tuple[SearchLog, list[TruthRecord]]:
     """Generate a log plus ground-truth sidecar; byte-deterministic per seed.
@@ -240,7 +240,7 @@ def interleaved_eval(
     behavior: UserBehavior,
     n_sessions: int,
     seed: int,
-    results_per_query: int = 10,
+    results_per_query: int = RESULTS_PER_QUERY,
 ) -> PairEvalResult:
     """Present combined rankings to simulated users and tally per-query winners.
 

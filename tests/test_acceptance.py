@@ -87,7 +87,7 @@ def test_criterion_3_hard_bound_score_inequality():
         space.term_doc_id("t", "new")
         space.term_doc_id("t", "d1")
         space.freeze()
-        base = {"base": RankedList("q", [RankEntry("d1", 2.0, 1), RankEntry("d2", 1.0, 2)])}
+        base = {"base": RankedList([RankEntry("d1", 2.0), RankEntry("d2", 1.0)])}
 
         model = fresh_model(space, w_min=w_min)
         assert score("d1", ["t"], base, model) == 28.0 * w_min
@@ -305,8 +305,8 @@ def test_criterion_8_property_suites():
         crng = np.random.default_rng([13, case])
         size = int(crng.integers(0, 12))
         base_docs = list(crng.choice(docs, size=size, replace=False))
-        base = {"base": RankedList("q", [
-            RankEntry(d, float(size - i), i + 1) for i, d in enumerate(base_docs)
+        base = {"base": RankedList([
+            RankEntry(d, float(size - i)) for i, d in enumerate(base_docs)
         ])}
         k = int(crng.integers(1, 14))
         out = rerank(RerankRequest(["w"], base, model, k=k))

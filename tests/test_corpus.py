@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from chainrank.corpus import (
     Document,
+    RankedList,
+    RankEntry,
     base_retrieve,
     build_index,
     index_from_json,
@@ -105,7 +107,16 @@ def test_retrieve_empty_query(toy_corpus):
 def test_retrieve_single_match(toy_corpus):
     result = base_retrieve(toy_corpus, ["archives"], 10)
     assert result.doc_ids() == ["doc-b"]
-    assert result.entries[0].rank == 1
+
+
+def test_ranked_list_rejects_rising_score_and_repeated_doc():
+    tied = RankedList([RankEntry("a", 1.0), RankEntry("b", 1.0)])
+    assert tied.doc_ids() == ["a", "b"]
+    assert {e.origin for e in tied.entries} == {"base_results"}
+    with pytest.raises(DataError, match="non-increasing"):
+        RankedList([RankEntry("a", 1.0), RankEntry("b", 2.0)])
+    with pytest.raises(DataError, match="duplicate doc_id in ranking: a"):
+        RankedList([RankEntry("a", 2.0), RankEntry("b", 1.5), RankEntry("a", 1.0)])
 
 
 def test_retrieve_k_validation(toy_corpus):

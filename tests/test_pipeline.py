@@ -11,15 +11,16 @@ import pytest
 from chainrank import pipeline
 from chainrank.chains import DEFAULT_WINDOW_SECONDS, segment_log
 from chainrank.cli import main as cli_main
-from chainrank.corpus import build_index
+from chainrank.corpus import BASE_DEPTH, RankedList, base_retrieve, build_index
 from chainrank.errors import DataError, StageError
 from chainrank.features import FeatureSpace, phi
-from chainrank.feedback import prefs_for_log
+from chainrank.feedback import MODES, prefs_for_log
 from chainrank.fixtures import documents_to_jsonl, make_fixture
 from chainrank.fixtures import main as fixtures_main
 from chainrank.logs import SearchLog
 from chainrank.pipeline import (
     BASE_FN,
+    SIDES,
     DiskStore,
     ExperimentConfig,
     base_ranker,
@@ -162,6 +163,22 @@ def test_rerank_stage_injects_learned_docs(cfg):
     assert any(e.origin == "term_association" for e in ranking.entries)
     base = run_stage("rerank", cfg, query="spectrograf", mode="base", k=5)
     assert len(base) == 0  # the misspelling matches nothing in the corpus
+
+
+def test_rerank_stage_returns_a_ranked_list_on_every_side(cfg):
+    for stage in ("index", "simulate", "chains"):
+        run_stage(stage, cfg)
+    for mode in MODES:
+        run_stage("prefs", cfg, mode=mode)
+        run_stage("train", cfg, mode=mode)
+    k = 7
+    for side in SIDES:
+        assert isinstance(run_stage("rerank", cfg, query="sourdough", mode=side, k=k),
+                          RankedList), side
+    base = run_stage("rerank", cfg, query="sourdough", mode="base", k=k)
+    expected = base_retrieve(DiskStore(cfg)["index"], ["sourdough"], BASE_DEPTH).entries[:k]
+    assert expected and base.entries == expected
+    assert all(e.origin == "base_results" for e in base.entries)
 
 
 def test_cli_stages_match_run_experiment(cfg, small_fixture):
@@ -642,6 +659,8 @@ FAULTS = {
     "eval-array": ("out/eval_qc_vs_base.json", lambda text: "[]", ["report"]),
     "eval-no-wins-a": ("out/eval_qc_vs_base.json", _edit_object(lambda p: p.pop("wins_a")),
                        ["report"]),
+    "eval-wrong-version": ("out/eval_qc_vs_base.json", _edit_object(lambda p: p.update(version=2)),
+                           ["report"]),
     "intents-truncated": ("intents.json", _truncate, ["simulate"]),
     "intents-array": ("intents.json", lambda text: "[]", ["simulate"]),
     "corpus-title-not-string": ("corpus.jsonl", _edit_record(2, lambda r: r.update(title=5)),
@@ -667,3 +686,17 @@ def test_cli_corrupt_file_exits_2_naming_it(evaluated_run, tmp_path, capsys, fau
     assert code == 2, err
     assert "Traceback" not in err
     assert path.name in err, err
+
+
+def test_cli_missing_sidecar_exits_2_naming_it(evaluated_run, tmp_path, capsys):
+    root = tmp_path / "run"
+    shutil.copytree(evaluated_run, root)
+    _point_config_at(root)
+    sidecar = root / "out" / "log.jsonl.meta.json"
+    sidecar.unlink()
+    capsys.readouterr()
+    code = cli_main(["chains", "--config", str(root / "experiment.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert str(sidecar) in err and "'simulate'" in err, err

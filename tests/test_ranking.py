@@ -9,10 +9,8 @@ from chainrank.ranking import RerankRequest, candidates, rerank, score
 from chainrank.solver import Model, PreferenceConstraint, fit_model, fresh_model
 
 
-def ranked(docs, query_id="q"):
-    return RankedList(query_id, [
-        RankEntry(d, float(len(docs) - i), i + 1) for i, d in enumerate(docs)
-    ])
+def ranked(docs):
+    return RankedList([RankEntry(d, float(len(docs) - i)) for i, d in enumerate(docs)])
 
 
 def model_with_terms(term_weights: dict, w_min=1.0):
@@ -186,7 +184,7 @@ def rerank_worlds(draw):
     pool = [f"d{i:03d}" for i in range(draw(st.sampled_from([8, 104])))]
     order = draw(st.permutations(pool))
     depth = draw(st.one_of(st.integers(0, len(pool)), st.integers(len(pool) - 6, len(pool))))
-    base = {"base": ranked(order[:depth], query_id="q")}
+    base = {"base": ranked(order[:depth])}
     deep = base["base"].doc_ids()[96:]
     terms = ["t0", "t1", "t2"]
     term_docs = deep + pool[:8] + ["x0", "x1"]

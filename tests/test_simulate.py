@@ -197,7 +197,7 @@ def test_interleaved_eval_self_comparison_all_ties(small_world):
 
 
 def _listing(docs):
-    return RankedList("", [RankEntry(d, 0.0, i + 1) for i, d in enumerate(docs)])
+    return RankedList([RankEntry(d, 0.0) for d in docs])
 
 
 def _memoized(ranker):
