@@ -1,7 +1,7 @@
 """Synthetic corpus and intent fixtures for experiments and tests.
 
 The corpus is built from ten disjoint topic vocabularies plus shared filler
-words.  Intents come in four shapes that exercise different learning paths:
+words.  Intents come in five shapes that exercise different learning paths:
 
   * misspelling: the first scripted query is a token that occurs in no
     document (zero results), the reformulation hits the target docs;
@@ -81,7 +81,7 @@ DEFAULT_DOCS, DEFAULT_SEED = 1000, 13  # the fixture of the experiments and benc
 
 
 def make_fixture(n_docs: int = DEFAULT_DOCS, seed: int = DEFAULT_SEED) -> tuple[list[Document], list[Intent]]:
-    """Build the synthetic corpus and its nine intents. Deterministic per seed."""
+    """Build the synthetic corpus and its ten intents. Deterministic per seed."""
     n_topics = len(_TOPICS)
     if n_docs < 30 * n_topics:
         raise DataError(f"need at least {30 * n_topics} docs, got {n_docs}")

@@ -77,8 +77,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):  # f.type is the annotation's text, e.g. "int"
-            if not isinstance(getattr(self, f.name), _SCALAR_TYPES.get(f.type, object)):
-                raise TypeError(f"config field {f.name} must be {f.type}: {getattr(self, f.name)!r}")
+            v = getattr(self, f.name)  # a bool is an Integral, but no field takes one
+            if isinstance(v, bool) or not isinstance(v, _SCALAR_TYPES.get(f.type, object)):
+                raise TypeError(f"config field {f.name} must be {f.type}: {v!r}")
         for name in ("sessions", "eval_sessions", "results_per_query", "window_seconds",
                      "C", "w_min", "tolerance", "max_iters"):
             if getattr(self, name) <= 0:

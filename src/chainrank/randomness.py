@@ -51,7 +51,7 @@ class BlockUniforms:
     would leave it: draw nothing else from it afterwards.
     """
 
-    SIZE = 32  # an `interleaved_eval` session draws ~11 (at most 30 seen), so one block
+    SIZE = 32  # an `interleaved_eval` session draws ~13 (at most 32 seen), so one block
 
     __slots__ = ("_rng", "_block")
 

@@ -13,7 +13,9 @@ so at zero noise and binary relevance grades, clicks identify exactly the
 relevant viewed documents.  The same confusion rate applies to the user's
 read of a clicked page: a session ends once some clicked document is judged
 relevant (truly relevant with probability 1 - noise, irrelevant with
-probability noise), or when the script is abandoned.
+probability noise), or when the script is abandoned.  One user model serves
+both populations: `simulate`'s users, who write the training log, and
+`interleaved_eval`'s, who judge the rankers, take the same step per query.
 
 Every query is recorded with its presented results, and a sidecar stream
 maps each query to its intent and true relevance grades, so chain detection,
@@ -106,18 +108,27 @@ def scan_and_click(grades: list[float], behavior: UserBehavior, rng: Uniforms) -
     return clicked
 
 
-def _satisfied(
-    intent: Intent, clicked_docs: list[str], behavior: UserBehavior, rng: Uniforms,
-) -> bool:
-    """Noisy page-read judgment: the clicked doc looks relevant with the same
-    confusion rate that governs clicking."""
+def _view(
+    intent: Intent, shown: list[str], last: bool, behavior: UserBehavior, rng: Uniforms,
+) -> tuple[list[int], bool]:
+    """One user's turn on one query: scan `shown` and click, then read the
+    clicked pages in click order until one looks relevant (with the confusion
+    rate of clicking).  Unsatisfied, the user goes on to the next query with
+    probability `reformulate_prob`, unless this is the script's `last` query.
+    Returns the clicked 0-based positions, in click order, and whether the user goes on."""
+    clicked = scan_and_click([intent.grade(d) for d in shown], behavior, rng)
     eps = behavior.click_noise
-    for doc in clicked_docs:
-        truly = intent.grade(doc) >= 0.5
-        p_looks_relevant = (1.0 - eps) if truly else eps
-        if rng.random() < p_looks_relevant:
-            return True
-    return False
+    for pos in clicked:
+        if rng.random() < ((1.0 - eps) if intent.grade(shown[pos]) >= 0.5 else eps):
+            return clicked, False
+    return clicked, not last and rng.random() < behavior.reformulate_prob
+
+
+def _check_sessions(intents: list[Intent], n_sessions: int) -> None:
+    if n_sessions < 0:
+        raise DataError("n_sessions must be non-negative")
+    if not intents and n_sessions > 0:
+        raise DataError("need at least one intent")
 
 
 def simulate(
@@ -141,10 +152,7 @@ def simulate(
     `corpus` is the collection `ranker` serves.  The log names documents by
     id only, so nothing here reads it.
     """
-    if n_sessions < 0:
-        raise DataError("n_sessions must be non-negative")
-    if not intents and n_sessions > 0:
-        raise DataError("need at least one intent")
+    _check_sessions(intents, n_sessions)
     events = []
     truth: list[TruthRecord] = []
     for s in range(n_sessions):
@@ -156,25 +164,21 @@ def simulate(
         n_queries = 0
         while True:
             intent = intents[intent_idx]
-            for qi, terms in enumerate(intent.query_script):
+            script = intent.query_script
+            for qi, terms in enumerate(script):
                 qid = f"{session_id}q{n_queries}"
                 n_queries += 1
                 ranking = ranker(list(terms), results_per_query)
                 results = ranking.doc_ids()
                 events.append(QueryEvent(qid, session_id, t, list(terms), results))
                 truth.append(TruthRecord(qid, intent.intent_id, intent.relevant_docs))
-                grades = [intent.grade(d) for d in results]
-                clicked = scan_and_click(grades, behavior, rng)
+                clicked, goes_on = _view(intent, results, qi == len(script) - 1, behavior, rng)
                 for pos in clicked:
                     t += 1
                     events.append(ClickEvent(qid, results[pos], pos + 1, t))
-                if _satisfied(intent, [results[p] for p in clicked], behavior, rng):
+                if not goes_on:
                     break
-                if qi < len(intent.query_script) - 1:
-                    if rng.random() >= behavior.reformulate_prob:
-                        break
-                    t += int(rng.integers(REFORMULATE_GAP_SECONDS[0],
-                                          REFORMULATE_GAP_SECONDS[1] + 1))
+                t += int(rng.integers(REFORMULATE_GAP_SECONDS[0], REFORMULATE_GAP_SECONDS[1] + 1))
             unused = [i for i in range(len(intents)) if i not in used]
             if unused and rng.random() < multi_intent_prob:
                 intent_idx = unused[int(rng.integers(len(unused)))]
@@ -244,39 +248,33 @@ def interleaved_eval(
 ) -> PairEvalResult:
     """Present combined rankings to simulated users and tally per-query winners.
 
-    A session walks its intent's whole script and stops early only once
-    satisfied: unlike `simulate`, it never abandons the script, so
-    `behavior.reformulate_prob` plays no part here.  The leading side is
-    drawn once per session (the user keeps one blend for
-    the whole session) from the same derived generator as everything else.
-    Each distinct (intent, both rankings, leading side) is interleaved once
-    per call; the rankings key the memo, so a ranker may return different
-    lists for the same terms.
+    Each session is one `simulate` user on its intent's script: it stops once
+    satisfied, abandons the script with probability 1 - `reformulate_prob`
+    after each unsatisfied query, and reads its clicks in click order.  The
+    leading side is drawn once per session (the user keeps one blend for the
+    whole session) from the same derived generator as everything else.  Each
+    distinct (both rankings, leading side) is interleaved once per call; the
+    rankings key the memo, so a ranker may return different lists for the
+    same terms.
     """
-    if n_sessions < 0:
-        raise DataError("n_sessions must be non-negative")
-    if not intents and n_sessions > 0:
-        raise DataError("need at least one intent")
+    _check_sessions(intents, n_sessions)
     result = PairEvalResult()
-    cases: dict[tuple, tuple[Interleaving, list[str], list[float]]] = {}
+    cases: dict[tuple, tuple[Interleaving, list[str]]] = {}
     for s in range(n_sessions):
         rng = BlockUniforms(derived_rng(seed, s))  # this loop only draws `random()`
         a_first = bool(rng.random() < 0.5)  # session-sticky coin
-        intent_idx = s % len(intents)
-        intent = intents[intent_idx]
-        for terms in intent.query_script:
-            ra = ranker_a(list(terms), results_per_query)
-            rb = ranker_b(list(terms), results_per_query)
-            docs_a, docs_b = ra.doc_ids(), rb.doc_ids()
-            key = (intent_idx, tuple(docs_a), tuple(docs_b), a_first)
+        intent = intents[s % len(intents)]
+        script = intent.query_script
+        for qi, terms in enumerate(script):
+            docs_a = ranker_a(list(terms), results_per_query).doc_ids()
+            docs_b = ranker_b(list(terms), results_per_query).doc_ids()
+            key = (tuple(docs_a), tuple(docs_b), a_first)
             if key not in cases:
                 inter = combine(docs_a, docs_b, first_r=a_first)
-                shown = inter.combined[:results_per_query]
-                cases[key] = (inter, shown, [intent.grade(d) for d in shown])
-            inter, shown, grades = cases[key]
-            clicked_pos = scan_and_click(grades, behavior, rng)
-            clicked_docs = {shown[p] for p in clicked_pos}
-            att = attribute(inter, clicked_docs)
+                cases[key] = (inter, inter.combined[:results_per_query])
+            inter, shown = cases[key]
+            clicked, goes_on = _view(intent, shown, qi == len(script) - 1, behavior, rng)
+            att = attribute(inter, {shown[p] for p in clicked})
             result.impressions += 1
             if att.winner == "r":
                 result.wins_a += 1
@@ -284,7 +282,7 @@ def interleaved_eval(
                 result.wins_b += 1
             else:
                 result.ties += 1
-            if _satisfied(intent, sorted(clicked_docs), behavior, rng):
+            if not goes_on:
                 break
     return result
 

@@ -14,7 +14,8 @@ from chainrank.corpus import Document
 from chainrank.feedback import prefs_cross_query, prefs_within_query
 from chainrank.interleave import attribute, combine
 from chainrank.logs import ClickEvent, QueryEvent, SearchLog
-from chainrank.simulate import Intent, PairEvalResult, _satisfied, scan_and_click
+from chainrank.simulate import (INTENT_GAP_SECONDS, REFORMULATE_GAP_SECONDS, SESSION_GAP_SECONDS,
+                                Intent, PairEvalResult, TruthRecord, _view, scan_and_click)
 
 
 def make_query(qid, session, t, terms, docs):
@@ -299,18 +300,67 @@ def interleaved_eval_per_query(ranker_a, ranker_b, intents, behavior, n_sessions
         rng = np.random.default_rng([seed, s])
         a_first = bool(rng.random() < 0.5)
         intent = intents[s % len(intents)]
-        for terms in intent.query_script:
+        for qi, terms in enumerate(intent.query_script):
             ra = ranker_a(list(terms), results_per_query)
             rb = ranker_b(list(terms), results_per_query)
             inter = combine(ra.doc_ids(), rb.doc_ids(), first_r=a_first)
             shown = inter.combined[:results_per_query]
-            clicked_pos = scan_and_click([intent.grade(d) for d in shown], behavior, rng)
+            last = qi == len(intent.query_script) - 1
+            clicked_pos, goes_on = _view(intent, shown, last, behavior, rng)
             clicked_docs = {shown[p] for p in clicked_pos}
             winner = attribute(inter, clicked_docs).winner
             result.impressions += 1
             result.wins_a += winner == "r"
             result.wins_b += winner == "r_prime"
             result.ties += winner == "tie"
-            if _satisfied(intent, sorted(clicked_docs), behavior, rng):
+            if not goes_on:
                 break
     return result
+
+
+def simulate_reference(ranker, intents, behavior, n_sessions, seed, results_per_query=10,
+                       multi_intent_prob=0.0):
+    """`simulate`'s session loop as first written, with the page reads inline.
+
+    Scalar draws from `np.random.default_rng([seed, s])`, one generator per
+    session; returns (log, truth) like `simulate`.
+    """
+    events, truth = [], []
+    for s in range(n_sessions):
+        rng = np.random.default_rng([seed, s])
+        session_id = f"s{s:06d}"
+        t = s * SESSION_GAP_SECONDS
+        intent_idx = s % len(intents)
+        used = {intent_idx}
+        n_queries = 0
+        while True:
+            intent = intents[intent_idx]
+            for qi, terms in enumerate(intent.query_script):
+                qid = f"{session_id}q{n_queries}"
+                n_queries += 1
+                ranking = ranker(list(terms), results_per_query)
+                results = ranking.doc_ids()
+                events.append(QueryEvent(qid, session_id, t, list(terms), results))
+                truth.append(TruthRecord(qid, intent.intent_id, intent.relevant_docs))
+                grades = [intent.grade(d) for d in results]
+                clicked = scan_and_click(grades, behavior, rng)
+                for pos in clicked:
+                    t += 1
+                    events.append(ClickEvent(qid, results[pos], pos + 1, t))
+                eps = behavior.click_noise
+                if any(rng.random() < ((1.0 - eps) if intent.grade(results[p]) >= 0.5 else eps)
+                       for p in clicked):
+                    break
+                if qi < len(intent.query_script) - 1:
+                    if rng.random() >= behavior.reformulate_prob:
+                        break
+                    t += int(rng.integers(REFORMULATE_GAP_SECONDS[0],
+                                          REFORMULATE_GAP_SECONDS[1] + 1))
+            unused = [i for i in range(len(intents)) if i not in used]
+            if unused and rng.random() < multi_intent_prob:
+                intent_idx = unused[int(rng.integers(len(unused)))]
+                used.add(intent_idx)
+                t += int(rng.integers(INTENT_GAP_SECONDS[0], INTENT_GAP_SECONDS[1] + 1))
+            else:
+                break
+    return SearchLog(events), truth

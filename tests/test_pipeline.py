@@ -296,6 +296,16 @@ def test_cli_negative_seed_exits_2(cfg, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["sessions", "seed", "noise"])
+def test_cli_bool_config_value_exits_2(cfg, tmp_path, capsys, field):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({**json.loads(cfg.config_path.read_text()), field: True}))
+    assert cli_main(["index", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field {field} must be" in err
+    assert "Traceback" not in err
+
+
 def test_cli_config_directory_exits_2(tmp_path, capsys):
     assert cli_main(["index", "--config", str(tmp_path)]) == 2
     err = capsys.readouterr().err

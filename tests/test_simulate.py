@@ -25,7 +25,7 @@ from chainrank.simulate import (
     write_intents,
     write_truth,
 )
-from helpers import ANY_TEXT, interleaved_eval_per_query, reference_write_truth
+from helpers import ANY_TEXT, interleaved_eval_per_query, reference_write_truth, simulate_reference
 
 
 @pytest.fixture(scope="module")
@@ -246,9 +246,9 @@ def test_interleaved_eval_matches_per_query_reference(small_world, kind):
     assert got.wins_a > 0 and got.wins_b > 0
 
 
-def test_interleaved_eval_memo_keys_on_intent(small_world):
-    # two intents share a query script but not their relevant docs: the
-    # cached grades of one must not serve the other
+def test_interleaved_eval_grades_each_intent_apart(small_world):
+    # two intents share a query script but not their relevant docs: the memo
+    # shares their interleavings, and each must still be judged by its own grades
     corpus, fresh, intents = small_world
     script = intents[0].query_script
     shown = [fresh(list(terms), 10).doc_ids() for terms in script]
@@ -260,6 +260,28 @@ def test_interleaved_eval_memo_keys_on_intent(small_world):
     assert got == interleaved_eval_per_query(fresh, reversed_base, twins, behavior,
                                              n_sessions=40, seed=4)
     assert got.wins_a > 0 and got.wins_b > 0
+
+
+@pytest.mark.parametrize("reformulate_prob", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("multi_intent_prob", [0.0, 0.5])
+def test_simulate_matches_reference(small_world, reformulate_prob, multi_intent_prob):
+    corpus, ranker, intents = small_world
+    behavior = UserBehavior(click_noise=0.1, reformulate_prob=reformulate_prob)
+    got = simulate(corpus, ranker, intents, behavior, 60, 5, multi_intent_prob=multi_intent_prob)
+    want = simulate_reference(ranker, intents, behavior, 60, 5,
+                              multi_intent_prob=multi_intent_prob)
+    assert write_log(got[0]) == write_log(want[0])
+    assert write_truth(got[1]) == write_truth(want[1])
+
+
+def test_evaluation_users_abandon(small_world):
+    # with reformulate_prob 0 an unsatisfied user leaves after the first query
+    corpus, ranker, intents = small_world
+    reversed_base = lambda terms, k: _listing(ranker(terms, k).doc_ids()[::-1])
+    behavior = UserBehavior(click_noise=0.1, reformulate_prob=0.0)
+    assert max(len(it.query_script) for it in intents) > 1
+    res = interleaved_eval(ranker, reversed_base, intents, behavior, n_sessions=50, seed=2)
+    assert res.impressions == 50
 
 
 def test_interleaved_eval_needs_an_intent(small_world):
