@@ -39,23 +39,22 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class Document:
-    """One indexed document. `tokens` is derived from title + body."""
+    """One indexed document.
+
+    `term_counts` maps each term to its weighted count: its count in the
+    title + body plus one per title occurrence (title tokens count double),
+    in the order of first occurrence in title then body.  It is computed on
+    first use and kept, so a second index over the same documents reuses it.
+    """
 
     doc_id: str
     title: str
     body: str
 
     @cached_property
-    def title_tokens(self) -> list[str]:
-        return tokenize(self.title)
-
-    @cached_property
-    def body_tokens(self) -> list[str]:
-        return tokenize(self.body)
-
-    @cached_property
-    def tokens(self) -> list[str]:
-        return self.title_tokens + self.body_tokens
+    def term_counts(self) -> dict[str, int]:
+        title = tokenize(self.title)
+        return Counter(title + title + tokenize(self.body))
 
 
 @dataclass
@@ -124,10 +123,8 @@ class Corpus:
                 return self._built
             weighted: dict[str, dict[str, int]] = defaultdict(dict)
             for doc_id, doc in self.documents.items():
-                for term, n in Counter(doc.tokens).items():
+                for term, n in doc.term_counts.items():
                     weighted[term][doc_id] = n
-                for term in doc.title_tokens:  # title tokens weighted double: one extra per title hit
-                    weighted[term][doc_id] += 1
 
             n_docs = len(self.documents)
             idf = {

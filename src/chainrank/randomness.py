@@ -1,18 +1,36 @@
 """Per-session and per-chain random streams, built with less work per stream.
 
-`derived_rng(a, b)` is the generator `np.random.default_rng([a, b])`, and
-`BlockUniforms` hands out a generator's `random()` draws a block at a time.
-Both yield exactly the values the plain numpy calls yield, so output seeded
-through them does not change.
+`session_streams(seed, n)` yields, for each session s in range(n), a
+generator in the state of `np.random.default_rng([seed, s])`.  It computes
+numpy's seeding of those states for many sessions at once, as uint32 array
+operations, and re-seeds one generator with each.  `derived_rng(a, b)` is the
+generator `np.random.default_rng([a, b])` on its own, for a stream that is
+built once, such as a preference chain's padding draws.  `BlockUniforms`
+hands out a generator's `random()` draws a block at a time.  All three yield
+exactly the values the plain numpy calls yield, so output seeded through
+them does not change.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
 _WORD = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe): pool size, hash and mix
+# constants, and the shift of each hash step
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_SHIFT = 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_ONE_WORD = 2**32  # session indices below this are one uint32 word
+
+CHUNK = 256  # sessions seeded per array pass: memory stays flat in n
 
 
 class Uniforms(Protocol):
@@ -21,25 +39,106 @@ class Uniforms(Protocol):
     def random(self) -> float: ...
 
 
+def _words(value: int) -> list[int]:
+    """numpy's uint32 words of a non-negative int: least significant first, 0 as one word."""
+    words = [value & _WORD]
+    value >>= 32
+    while value:
+        words.append(value & _WORD)
+        value >>= 32
+    return words
+
+
 def derived_rng(*values: int) -> np.random.Generator:
     """`np.random.default_rng(list(values))`, with the same state, built faster.
 
-    numpy turns a list of ints into the uint32 words of each value, least
-    significant word first and 0 as one word.  Handing it those words as an
-    array skips that coercion.  The array is new on every call because the
-    SeedSequence keeps a reference to it.  A negative value goes to numpy as
-    a list, so it fails as numpy fails.
+    numpy turns a list of ints into the uint32 words of each value.  Handing
+    it those words as an array skips that coercion.  The array is new on
+    every call because the SeedSequence keeps a reference to it.  A negative
+    value goes to numpy as a list, so it fails as numpy fails.
     """
-    words = []
-    for v in values:
-        if v < 0:
-            return np.random.default_rng(list(values))
-        words.append(v & _WORD)
-        v >>= 32
-        while v:
-            words.append(v & _WORD)
-            v >>= 32
-    return np.random.default_rng(np.array(words, dtype=np.uint32))
+    if any(v < 0 for v in values):
+        return np.random.default_rng(list(values))
+    return np.random.default_rng(np.array([w for v in values for w in _words(v)], dtype=np.uint32))
+
+
+def _hash_steps(value: int, multiplier: int) -> Iterator[tuple[int, int]]:
+    """(xor, multiply) constants of successive hash steps: the hash constant
+    before and after it is multiplied.  They do not depend on the data."""
+    while True:
+        after = value * multiplier & _WORD
+        yield value, after
+        value = after
+
+
+def _hash(value: np.ndarray, steps: Iterator[tuple[int, int]]) -> np.ndarray:
+    """One hash step of a uint32 array of pool words."""
+    xor, mult = next(steps)
+    value = (value ^ xor) * mult
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays of pool words."""
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ (value >> _SHIFT)
+
+
+def _pcg64_states(words: list[int], sessions: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) after seeding from `SeedSequence(words + [s])`,
+    for each s of the uint32 array `sessions`.
+
+    Each pool word is a uint32 array with one entry per session, so its
+    arithmetic wraps as numpy's does.
+    """
+    entropy = [np.full(sessions.shape, w, dtype=np.uint32) for w in words] + [sessions]
+    entropy += [np.zeros_like(sessions)] * (_POOL - len(entropy))  # the pool pads with 0
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hash(entropy[i], steps) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], steps))
+    for value in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hash(value, steps))
+    # generate_state(4, np.uint64): eight words, paired low word first
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    out = [_hash(pool[i % _POOL], steps).astype(np.uint64) for i in range(2 * _POOL)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (out[2 * k + 1] << 32 | out[2 * k]).tolist() for k in range(_POOL)
+    )
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        # pcg64_set_seed: inc = 2 * seq + 1; one LCG step, add the seed, one more step
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def session_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
+    """For each s in range(n), a generator in the state of `np.random.default_rng([seed, s])`.
+
+    Every item is the same Generator, re-seeded, so a stream is only good
+    until the next one is taken.  The Generator belongs to this call, so
+    iterators advanced side by side stay independent.  A negative seed goes
+    to `derived_rng`, so it fails as numpy fails.
+    """
+    if seed < 0:
+        for s in range(n):
+            yield derived_rng(seed, s)
+        return
+    words = _words(seed)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for start in range(0, min(n, _ONE_WORD), CHUNK):
+        sessions = np.arange(start, min(start + CHUNK, n, _ONE_WORD), dtype=np.uint32)
+        for state, inc in _pcg64_states(words, sessions):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield rng
+    for s in range(_ONE_WORD, n):  # a two-word index: seeded one session at a time
+        yield derived_rng(seed, s)
 
 
 class BlockUniforms:

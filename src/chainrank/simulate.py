@@ -20,8 +20,9 @@ both populations: `simulate`'s users, who write the training log, and
 Every query is recorded with its presented results, and a sidecar stream
 maps each query to its intent and true relevance grades, so chain detection,
 preference strategies, and interleaved evaluation can all be scored against
-ground truth.  Sessions derive independent generators from (seed, session
-index): generation order cannot change the output.
+ground truth.  Each session draws from its own generator, that of (seed,
+session index), from `randomness.session_streams`: generation order cannot
+change the output.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import DataError, canonical_json, json_lines, json_object, malforme
 from .feedback import Preference
 from .interleave import Interleaving, attribute, combine
 from .logs import ClickEvent, QueryEvent, SearchLog
-from .randomness import BlockUniforms, Uniforms, derived_rng
+from .randomness import BlockUniforms, Uniforms, session_streams
 
 Ranker = Callable[[list[str], int], RankedList]
 
@@ -155,8 +156,8 @@ def simulate(
     _check_sessions(intents, n_sessions)
     events = []
     truth: list[TruthRecord] = []
-    for s in range(n_sessions):
-        rng = derived_rng(seed, s)  # scalar draws: `integers` calls share the stream
+    # scalar draws from each session's stream: `integers` calls share it
+    for s, rng in enumerate(session_streams(seed, n_sessions)):
         session_id = f"s{s:06d}"
         t = s * SESSION_GAP_SECONDS
         intent_idx = s % len(intents)
@@ -260,8 +261,8 @@ def interleaved_eval(
     _check_sessions(intents, n_sessions)
     result = PairEvalResult()
     cases: dict[tuple, tuple[Interleaving, list[str]]] = {}
-    for s in range(n_sessions):
-        rng = BlockUniforms(derived_rng(seed, s))  # this loop only draws `random()`
+    for s, stream in enumerate(session_streams(seed, n_sessions)):
+        rng = BlockUniforms(stream)  # this loop only draws `random()`
         a_first = bool(rng.random() < 0.5)  # session-sticky coin
         intent = intents[s % len(intents)]
         script = intent.query_script

@@ -138,7 +138,7 @@ def test_every_hit_contains_a_query_term(toy_docs, toy_corpus):
     result = base_retrieve(toy_corpus, ["rare", "hours"], 10)
     for e in result.entries:
         doc = next(d for d in toy_docs if d.doc_id == e.doc_id)
-        assert {"rare", "hours"} & set(doc.tokens)
+        assert {"rare", "hours"} & set(split_tokenize(doc.title) + split_tokenize(doc.body))
 
 
 def test_deterministic_across_builds_and_threads(toy_docs):
@@ -237,6 +237,12 @@ def test_index_matches_naive_builder(fields, queries):
         terms = [t for w in query for t in split_tokenize(w)]
         got = base_retrieve(corpus, terms, 5)
         assert [(e.doc_id, e.score) for e in got.entries] == naive_retrieve(oracle, terms, 5)
+    # a second build over the same documents reuses their cached term counts
+    assert build_index(docs)._index() == (oracle["idf"], oracle["weighted"], oracle["norms"])
+    for doc in docs:
+        title, body = split_tokenize(doc.title), split_tokenize(doc.body)
+        assert doc.term_counts == Counter(title + title + body)  # title tokens count double
+        assert list(doc.term_counts) == list(dict.fromkeys(title + body))  # first-seen order
 
 
 @settings(max_examples=300, deadline=None)

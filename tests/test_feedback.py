@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,22 @@ def test_prefs_for_log_matches_eager_reference(seed):
 def test_preference_rejects_self_pair():
     with pytest.raises(DataError):
         Preference("d", "d", "q", Strategy.CLICK_SKIP_ABOVE)
+
+
+def test_preference_is_a_frozen_value():
+    a = Preference("x", "y", "q1", Strategy.CLICK_SKIP_EARLIER_QUERY, "c3")
+    same = Preference(preferred_doc="x", other_doc="y", wrt_query="q1",
+                      strategy=Strategy.CLICK_SKIP_EARLIER_QUERY, chain_id="c3")
+    assert a == same and hash(a) == hash(same)
+    assert a != Preference("x", "y", "q1", Strategy.CLICK_SKIP_EARLIER_QUERY)
+    assert Preference("x", "y", "q1", Strategy.CLICK_SKIP_ABOVE).chain_id == ""
+    assert len({a, same, Preference("y", "x", "q1", Strategy.CLICK_SKIP_EARLIER_QUERY, "c3")}) == 2
+    assert repr(a) == ("Preference(preferred_doc='x', other_doc='y', wrt_query='q1', "
+                       "strategy=<Strategy.CLICK_SKIP_EARLIER_QUERY: 'S5'>, chain_id='c3')")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.other_doc = "z"
+    with pytest.raises(DataError, match="self-preference on d"):
+        Preference("d", "d", "q", Strategy.CLICK_SKIP_ABOVE, "c")
 
 
 def _three_chain_log():

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainrank.randomness import BlockUniforms, derived_rng
+from chainrank.randomness import CHUNK, BlockUniforms, derived_rng, session_streams
 
 EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+SESSION_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
 
 
 @pytest.mark.parametrize("seed", EDGES)
@@ -34,3 +35,45 @@ def test_block_uniforms_match_scalar_draws_across_refills():
     scalar = np.random.default_rng([3, 11])
     block = BlockUniforms(np.random.default_rng([3, 11]))  # 100 draws span four blocks of 32
     assert [block.random() for _ in range(100)] == [scalar.random() for _ in range(100)]
+
+
+def _draws(rng):
+    """What the tests compare of a generator: its state, then draws of both kinds."""
+    return rng.bit_generator.state, rng.random(4).tolist(), rng.integers(5, 301, size=3).tolist()
+
+
+def _assert_streams_equal_default_rng(seed, n):
+    got = [_draws(rng) for rng in session_streams(seed, n)]
+    assert got == [_draws(np.random.default_rng([seed, s])) for s in range(n)]
+
+
+@pytest.mark.parametrize("n", SESSION_COUNTS)
+@pytest.mark.parametrize("seed", EDGES)
+def test_session_streams_equal_default_rng_of_seed_and_session(seed, n):
+    _assert_streams_equal_default_rng(seed, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**96), n=st.sampled_from(SESSION_COUNTS))
+def test_session_streams_equal_default_rng_for_any_seed(seed, n):
+    _assert_streams_equal_default_rng(seed, n)
+
+
+def test_session_streams_seed_of_more_words_than_the_pool():
+    _assert_streams_equal_default_rng(2**160 + 12345, 5)  # six entropy words, pool of four
+
+
+@pytest.mark.parametrize("seed", [-1, -2**40])
+def test_session_streams_refuse_a_negative_seed_as_numpy_does(seed):
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng([seed, 0])
+    with pytest.raises(ValueError) as got:
+        next(session_streams(seed, 3))
+    assert str(got.value) == str(expected.value)
+
+
+def test_session_streams_advanced_together_stay_independent():
+    pairs = [(a.random(3).tolist(), b.random(3).tolist())
+             for a, b in zip(session_streams(7, CHUNK + 2), session_streams(8, CHUNK + 2))]
+    assert pairs == [(np.random.default_rng([7, s]).random(3).tolist(),
+                      np.random.default_rng([8, s]).random(3).tolist()) for s in range(CHUNK + 2)]
