@@ -9,13 +9,17 @@ query terms.
 `RankedList` is the one ranking type: base retrieval, a learned model's
 reranking and the CLI's `rerank` stage all return it.  An entry's rank is its
 position plus one.  Its origin is "base_results", or "term_association" for a
-document a reranking brought in from outside the base ranking.
+document a reranking brought in from outside the base ranking.  The list is
+stored as three tuples, doc ids, scores and origins, so serving a query builds
+no object per document; the `RankEntry` view is made only when read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+import sys
 import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -37,14 +41,15 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Document:
     """One indexed document.
 
     `term_counts` maps each term to its weighted count: its count in the
     title + body plus one per title occurrence (title tokens count double),
     in the order of first occurrence in title then body.  It is computed on
-    first use and kept, so a second index over the same documents reuses it.
+    first use and kept, so a second index over the same documents reuses it;
+    the fields are frozen, so the counts cannot go stale.
     """
 
     doc_id: str
@@ -54,7 +59,10 @@ class Document:
     @cached_property
     def term_counts(self) -> dict[str, int]:
         title = tokenize(self.title)
-        return Counter(title + title + tokenize(self.body))
+        counts = Counter(title + title + tokenize(self.body))
+        # interned, so documents share one string per term instead of each
+        # keeping its own copy for as long as the index lives
+        return dict(zip(map(sys.intern, counts), counts.values()))
 
 
 @dataclass
@@ -64,28 +72,57 @@ class RankEntry:
     origin: str = "base_results"  # or "term_association": reranked in from outside the base
 
 
-@dataclass
 class RankedList:
-    """Ordered ranking: non-increasing scores, each doc once; rank is position + 1."""
+    """Ordered ranking: non-increasing scores, each doc once; rank is position + 1.
 
-    entries: list[RankEntry]
+    `RankedList(entries)` builds one from `RankEntry` objects.  The ranking
+    is held as the tuples `ids`, `scores` and `origins`; `entries` rebuilds
+    the `RankEntry` list on each read.  A NaN score passes the order check,
+    as no comparison with it is true.
+    """
 
-    def __post_init__(self):
-        seen = set()
-        previous = math.inf
-        for e in self.entries:
-            if e.score > previous:
-                raise DataError("scores must be non-increasing")
-            if e.doc_id in seen:
-                raise DataError(f"duplicate doc_id in ranking: {e.doc_id}")
-            seen.add(e.doc_id)
-            previous = e.score
+    __slots__ = ("ids", "scores", "origins")
+
+    def __init__(self, entries: list[RankEntry]):
+        self._set(tuple(e.doc_id for e in entries), tuple(e.score for e in entries),
+                  tuple(e.origin for e in entries))
+
+    @classmethod
+    def _of(cls, ids: tuple[str, ...], scores: tuple[float, ...],
+            origins: tuple[str, ...]) -> RankedList:
+        """A ranking from its columns, checked as the constructor checks entries."""
+        ranking = cls.__new__(cls)
+        ranking._set(ids, scores, origins)
+        return ranking
+
+    def _set(self, ids, scores, origins) -> None:
+        if any(map(operator.lt, scores, scores[1:])) or len(set(ids)) != len(ids):
+            seen = set()
+            for i, doc_id in enumerate(ids):  # report the first fault in list order
+                if i and scores[i] > scores[i - 1]:
+                    raise DataError("scores must be non-increasing")
+                if doc_id in seen:
+                    raise DataError(f"duplicate doc_id in ranking: {doc_id}")
+                seen.add(doc_id)
+        self.ids, self.scores, self.origins = ids, scores, origins
+
+    @property
+    def entries(self) -> list[RankEntry]:
+        return [RankEntry(*e) for e in zip(self.ids, self.scores, self.origins)]
 
     def doc_ids(self) -> list[str]:
-        return [e.doc_id for e in self.entries]
+        return list(self.ids)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RankedList):
+            return NotImplemented
+        return (self.ids, self.scores, self.origins) == (other.ids, other.scores, other.origins)
+
+    def __repr__(self) -> str:
+        return f"RankedList({self.entries!r})"
 
 
 class Corpus:
@@ -160,7 +197,8 @@ def base_retrieve(corpus: Corpus, query_terms: list[str], k: int = BASE_DEPTH) -
     """Rank documents containing at least one query term by the tf-idf baseline.
 
     Empty queries and queries matching nothing yield an empty list. Ties
-    break by doc_id ascending.
+    break by doc_id ascending: one sort of (-score, doc_id) pairs orders the
+    matches, and the first k become the list's columns.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -176,9 +214,9 @@ def base_retrieve(corpus: Corpus, query_terms: list[str], k: int = BASE_DEPTH) -
         q_w = (1.0 + log(counts[term])) * t_idf
         for doc_id, wtf in t_weighted.items():
             scores[doc_id] = scores.get(doc_id, 0.0) + q_w * ((1.0 + log(wtf)) * t_idf)
-    scored = [(d, s / norms[d]) for d, s in sorted(scores.items())]
-    scored.sort(key=lambda p: (-p[1], p[0]))
-    return RankedList([RankEntry(d, s) for d, s in scored[:k]])
+    top = sorted([(-(s / norms[d]), d) for d, s in scores.items()])[:k]
+    ids = tuple([d for _, d in top])
+    return RankedList._of(ids, tuple([-neg for neg, _ in top]), ("base_results",) * len(ids))
 
 
 def index_to_json(corpus: Corpus) -> str:

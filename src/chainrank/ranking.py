@@ -9,21 +9,25 @@ the base results can enter (or be pushed out of) the final ranking.  The
 result is a `RankedList`, the type of the base ranking it reorders, so
 interleaving merges the two as peers.
 
-Scoring a candidate costs a few dict lookups.  Per model, and cached on it:
-a rank-score table mapping each base rank to its rank score, and a
-term -> {doc: weight} map of the nonzero term/document weights.  Per
-request: one doc -> rank map of the base ranking, used for the score, the
-tie-break and the origin, and the sorted distinct query terms.
+Per model, and cached on it: a rank-score table mapping each base rank to
+its rank score, the base ranks 1..BASE_DEPTH ordered by (-rank score, rank),
+and a term -> {doc: weight} map of the nonzero term/document weights.  A
+request scores only the documents that carry a weight for a query term, one
+dict lookup per query term each.  Every other candidate is a base document
+whose score is its rank score alone, so those candidates come in final order
+from walking the cached rank order, and the walk stops after k of them.  A
+request thus costs about k plus the term-weighted documents, however deep
+the base ranking is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
 
 import numpy as np
 
-from .corpus import BASE_DEPTH, RESULTS_PER_QUERY, RankedList, RankEntry
+from .corpus import BASE_DEPTH, RESULTS_PER_QUERY, RankedList
 from .features import BASE_FN, first_threshold
 from .solver import Model
 
@@ -50,17 +54,21 @@ class RerankRequest:
         _base_ranking(self.base_rankings)
 
 
-def _rank_table(model: Model) -> list[float]:
-    """Entry r is the rank score of base rank r, cached on the model.
+def _rank_table(model: Model) -> tuple[list[float], list[int]]:
+    """(table, order), cached on the model.
 
-    The rank score is the suffix sum of the rank weights over the thresholds
-    at or above r.  Entry 0 stands for a document absent from the ranking.
+    Entry r of the table is the rank score of base rank r: the suffix sum of
+    the rank weights over the thresholds at or above r.  Entry 0 stands for a
+    document absent from the ranking.  The order lists the ranks
+    1..BASE_DEPTH by (-rank score, rank), which is the order rerank gives
+    base documents without term weights.
     """
     cached = getattr(model, "_rank_table_cache", None)
     if cached is None:
         suffix = np.cumsum(model.rank_weights()[::-1])[::-1].tolist()
-        cached = [0.0] + [suffix[first_threshold(r)] for r in range(1, BASE_DEPTH + 1)]
-        model._rank_table_cache = cached
+        table = [0.0] + [suffix[first_threshold(r)] for r in range(1, BASE_DEPTH + 1)]
+        order = sorted(range(1, BASE_DEPTH + 1), key=lambda r: (-table[r], r))
+        cached = model._rank_table_cache = (table, order)
     return cached
 
 
@@ -76,29 +84,14 @@ def _term_weights(model: Model) -> dict[str, dict[str, float]]:
     return cached
 
 
-def _ranks(base_rankings: dict[str, RankedList]) -> dict[str, int]:
-    """doc -> rank in the base ranking, its position plus one."""
-    return {e.doc_id: i for i, e in enumerate(_base_ranking(base_rankings).entries, start=1)}
+def _term_maps(query_terms: list[str], model: Model) -> list[dict[str, float]]:
+    """The {doc: weight} maps of the distinct query terms that have any, by term.
 
-
-def _scorer(query_terms: list[str], ranks: dict[str, int], model: Model) -> Callable[[str], float]:
-    """Per-request scoring function over a doc -> base rank map."""
-    table = _rank_table(model)
-    if len(ranks) > BASE_DEPTH:  # ranks run 1..len(ranks); the deeper ones score 0
-        table = table + [0.0] * (len(ranks) - BASE_DEPTH)
+    A term without weights would add 0.0 to every score, so skipping it
+    leaves every score bit-identical.
+    """
     weights = _term_weights(model)
-    term_maps = [weights[t] for t in sorted(set(query_terms)) if t in weights]
-
-    # the sum starts at 0.0, so it is never -0.0; a term without weights would
-    # add 0.0, so skipping it leaves every score bit-identical
-    def score_doc(doc_id: str) -> float:
-        total = 0.0
-        total += table[ranks.get(doc_id, 0)]
-        for term_map in term_maps:
-            total += term_map.get(doc_id, 0.0)
-        return total
-
-    return score_doc
+    return [weights[t] for t in sorted(set(query_terms)) if t in weights]
 
 
 def score(
@@ -108,7 +101,15 @@ def score(
     model: Model,
 ) -> float:
     """Learned relevance score: exact sparse dot product of weights and features."""
-    return _scorer(query_terms, _ranks(base_rankings), model)(doc_id)
+    table = _rank_table(model)[0]
+    ids = _base_ranking(base_rankings).ids
+    rank = ids.index(doc_id) + 1 if doc_id in ids else 0
+    # the sum starts at 0.0, so it is never -0.0; ranks beyond BASE_DEPTH score 0
+    total = 0.0
+    total += table[rank] if rank <= BASE_DEPTH else 0.0
+    for term_map in _term_maps(query_terms, model):
+        total += term_map.get(doc_id, 0.0)
+    return total
 
 
 def candidates(
@@ -117,7 +118,7 @@ def candidates(
     model: Model,
 ) -> set[str]:
     """Docs that can score nonzero: base top results plus term-weighted docs."""
-    out = {e.doc_id for e in _base_ranking(base_rankings).entries[:BASE_DEPTH]}
+    out = set(_base_ranking(base_rankings).ids[:BASE_DEPTH])
     weights = _term_weights(model)
     for term in set(query_terms):
         out.update(weights.get(term, ()))
@@ -132,12 +133,30 @@ def rerank(request: RerankRequest) -> RankedList:
     weights, no term weights) the threshold buckets tie and the base-rank
     tie-break reproduces the base order exactly.
     """
-    model, terms = request.model, request.query_terms
-    ranks = _ranks(request.base_rankings)
-    score_doc = _scorer(terms, ranks, model)
-    scored = [(doc, score_doc(doc)) for doc in candidates(terms, request.base_rankings, model)]
-    scored.sort(key=lambda t: (-t[1], ranks.get(t[0], _UNRANKED), t[0]))
-    return RankedList([
-        RankEntry(d, s, "base_results" if d in ranks else "term_association")
-        for d, s in scored[: request.k]
-    ])
+    model, ids = request.model, _base_ranking(request.base_rankings).ids
+    n = len(ids)
+    table, order = _rank_table(model)
+    term_maps = _term_maps(request.query_terms, model)
+    weighted = set().union(*term_maps)
+    ranks = dict(zip(ids, range(1, n + 1))) if weighted else {}
+    rows = []  # (-score, sort rank, doc_id) of each candidate scored
+    for doc in weighted:  # summed as `score` sums: rank score, then terms in sorted order
+        rank = ranks.get(doc, 0)
+        total = 0.0
+        total += table[rank] if rank <= BASE_DEPTH else 0.0
+        for term_map in term_maps:
+            total += term_map.get(doc, 0.0)
+        rows.append((-total, rank or _UNRANKED, doc))
+    # Every other candidate is a base document scored by its rank alone, and
+    # `order` lists those best first; the answer uses at most k of them.
+    rank_scored = min(n, BASE_DEPTH) - sum(r <= BASE_DEPTH for _, r, _ in rows)
+    walk = ((-(0.0 + table[r]), r, ids[r - 1])
+            for r in order if r <= n and ids[r - 1] not in weighted)
+    rows.extend(islice(walk, min(request.k, rank_scored)))
+    rows.sort()
+    top = rows[:request.k]
+    return RankedList._of(
+        tuple([d for _, _, d in top]),
+        tuple([-neg for neg, _, _ in top]),
+        tuple(["base_results" if r != _UNRANKED else "term_association" for _, r, _ in top]),
+    )

@@ -3,12 +3,14 @@ import math
 import sys
 import threading
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainrank.corpus import (
+    BASE_DEPTH,
     Document,
     RankedList,
     RankEntry,
@@ -21,6 +23,7 @@ from chainrank.corpus import (
 )
 from chainrank.errors import DataError
 from chainrank.fixtures import make_fixture
+from chainrank.pipeline import base_ranker
 from helpers import naive_index, naive_retrieve, split_tokenize
 
 
@@ -117,6 +120,51 @@ def test_ranked_list_rejects_rising_score_and_repeated_doc():
         RankedList([RankEntry("a", 1.0), RankEntry("b", 2.0)])
     with pytest.raises(DataError, match="duplicate doc_id in ranking: a"):
         RankedList([RankEntry("a", 2.0), RankEntry("b", 1.5), RankEntry("a", 1.0)])
+    # with both faults, the one earlier in the list is reported
+    with pytest.raises(DataError, match="^duplicate doc_id in ranking: a$"):
+        RankedList([RankEntry("a", 2.0), RankEntry("a", 1.0), RankEntry("b", 3.0)])
+    with pytest.raises(DataError, match="^scores must be non-increasing$"):
+        RankedList([RankEntry("a", 1.0), RankEntry("b", 3.0), RankEntry("a", 0.5)])
+
+
+def test_ranked_list_accepts_nan_score():
+    # no comparison with NaN is true, so NaN never counts as a rising score
+    nan = float("nan")
+    ranking = RankedList([RankEntry("a", 2.0), RankEntry("b", nan), RankEntry("c", 3.0)])
+    assert ranking.doc_ids() == ["a", "b", "c"]
+    assert math.isnan(ranking.entries[1].score)
+
+
+def test_ranked_list_entries_round_trip_and_equality_by_content():
+    entries = [RankEntry("a", 2.0), RankEntry("b", 1.0, "term_association"), RankEntry("c", 1.0)]
+    ranking = RankedList(entries)
+    assert ranking.entries == entries
+    assert ranking.entries is not ranking.entries  # a fresh list on each read
+    assert len(ranking) == 3
+    assert ranking == RankedList([RankEntry(e.doc_id, e.score, e.origin) for e in entries])
+    assert ranking != RankedList(entries[:2])
+    assert ranking != RankedList([RankEntry("a", 2.0), RankEntry("b", 1.0), RankEntry("c", 1.0)])
+    assert RankedList([]) == RankedList([]) and RankedList([]).entries == []
+
+
+def test_mutating_doc_ids_changes_no_ranking(toy_corpus):
+    ranker = base_ranker(toy_corpus)
+    first = ranker(["rare", "collections"], 10)
+    expected = list(first.entries)
+    ids = first.doc_ids()
+    ids.reverse()
+    ids.append("intruder")
+    assert first.doc_ids() != ids
+    assert first.entries == expected
+    again = ranker(["rare", "collections"], 10)
+    assert again is first and again.doc_ids() == [e.doc_id for e in expected]
+
+
+def test_document_is_frozen(toy_corpus):
+    doc = next(iter(toy_corpus.documents.values()))
+    with pytest.raises(FrozenInstanceError):
+        doc.title = "banana"
+    assert doc.title != "banana" and "banana" not in doc.term_counts
 
 
 def test_retrieve_k_validation(toy_corpus):
@@ -243,6 +291,23 @@ def test_index_matches_naive_builder(fields, queries):
         title, body = split_tokenize(doc.title), split_tokenize(doc.body)
         assert doc.term_counts == Counter(title + title + body)  # title tokens count double
         assert list(doc.term_counts) == list(dict.fromkeys(title + body))  # first-seen order
+        assert all(term is sys.intern(term) for term in doc.term_counts)  # one string per term
+
+
+def test_full_depth_retrieve_matches_naive_on_the_fixture():
+    # every term alone, each with its sorted-order neighbour, and twice over:
+    # the most common terms have over 500 postings, so depth 100 cuts deep lists
+    docs, _ = make_fixture(1000, 13)
+    corpus = build_index(docs)
+    oracle = naive_index(docs)
+    vocabulary = sorted(oracle["postings"])
+    assert max(len(p) for p in oracle["postings"].values()) > 500
+    queries = ([[t] for t in vocabulary] + [list(p) for p in zip(vocabulary, vocabulary[1:])]
+               + [[t, t] for t in vocabulary[::7]])
+    for terms in queries:
+        got = base_retrieve(corpus, terms, BASE_DEPTH)
+        assert list(zip(got.ids, got.scores)) == naive_retrieve(oracle, terms, BASE_DEPTH)
+        assert set(got.origins) <= {"base_results"}
 
 
 @settings(max_examples=300, deadline=None)

@@ -194,10 +194,10 @@ def rerank_worlds(draw):
     for term, doc in pairs:
         space.term_doc_id(term, doc)
     space.freeze()
-    w_min = draw(st.integers(0, 8)) / 8
+    w_min = draw(st.integers(-16, 8)) / 8  # negative too: rank scores need not fall with rank
     eighths = st.integers(-24, 24).map(lambda n: n / 8)
     w = np.array(
-        [w_min + draw(st.integers(0, 8)) / 8 for _ in range(N_RANK_FEATURES)]
+        [w_min + draw(st.integers(0, 24)) / 8 for _ in range(N_RANK_FEATURES)]
         + [draw(eighths) for _ in pairs]
     )
     model = Model(space=space, weights=w, C=1.0, w_min=w_min, meta={})
