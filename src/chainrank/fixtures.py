@@ -20,7 +20,7 @@ lists and clicks genuinely discriminate.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 
 import numpy as np
 
@@ -54,6 +54,7 @@ _TOPICS: dict[str, list[str]] = {
 _FILLER = ["the", "of", "and", "a", "to", "in", "for", "with", "notes", "guide",
            "basics", "overview", "introduction", "series", "handbook", "tips",
            "common", "general", "article", "reference"]
+_BODY_FILLER = 15  # filler words per body, alternating with as many topic words
 
 # (topic, marker, first query)        -> zero-result misspelling chains
 _MISSPELL = [
@@ -81,17 +82,30 @@ DEFAULT_DOCS, DEFAULT_SEED = 1000, 13  # the fixture of the experiments and benc
 
 
 def make_fixture(n_docs: int = DEFAULT_DOCS, seed: int = DEFAULT_SEED) -> tuple[list[Document], list[Intent]]:
-    """Build the synthetic corpus and its ten intents. Deterministic per seed."""
+    """Build the synthetic corpus and its ten intents. Deterministic per seed.
+
+    Documents are created topic by topic, in `_TOPICS` order, and within a
+    topic by index j.  Each body is 30 words: topic words in the even slots,
+    filler words in the odd ones.  The filler is one array draw,
+    `rng.integers(len(_FILLER), size=_BODY_FILLER * n_docs)`, and each document
+    takes the next _BODY_FILLER values in creation order.  The fixture's bytes
+    depend on that order and on numpy's bounded-integer stream for the seed.
+    """
     n_topics = len(_TOPICS)
     if n_docs < 30 * n_topics:
         raise DataError(f"need at least {30 * n_topics} docs, got {n_docs}")
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
+    filler = [_FILLER[k] for k in rng.integers(len(_FILLER), size=_BODY_FILLER * n_docs).tolist()]
     per_topic = n_docs // n_topics
     extra = n_docs - per_topic * n_topics
 
     titles: dict[str, str] = {}
     bodies: dict[str, str] = {}
     topic_docs: dict[str, list[str]] = {}
+    tokens = [""] * (2 * _BODY_FILLER)
+    drawn = 0
     for t_idx, (topic, words) in enumerate(_TOPICS.items()):
         count = per_topic + (1 if t_idx < extra else 0)
         topic_docs[topic] = []
@@ -99,12 +113,9 @@ def make_fixture(n_docs: int = DEFAULT_DOCS, seed: int = DEFAULT_SEED) -> tuple[
             doc_id = f"{topic}-{j:03d}"
             topic_docs[topic].append(doc_id)
             titles[doc_id] = f"{topic} {words[j % len(words)]} {j}"
-            tokens = []
-            for i in range(30):
-                if i % 2 == 0:
-                    tokens.append(words[(j + i) % len(words)])
-                else:
-                    tokens.append(_FILLER[int(rng.integers(len(_FILLER)))])
+            tokens[0::2] = [words[(j + i) % len(words)] for i in range(0, 2 * _BODY_FILLER, 2)]
+            tokens[1::2] = filler[drawn:drawn + _BODY_FILLER]
+            drawn += _BODY_FILLER
             bodies[doc_id] = " ".join(tokens)
 
     intents: list[Intent] = []
@@ -153,12 +164,12 @@ def make_fixture(n_docs: int = DEFAULT_DOCS, seed: int = DEFAULT_SEED) -> tuple[
 
 
 def documents_to_jsonl(docs: list[Document]) -> str:
-    lines = [
-        json.dumps({"doc_id": d.doc_id, "title": d.title, "body": d.body},
-                   ensure_ascii=False, separators=(",", ":"))
-        for d in docs
-    ]
-    return "".join(line + "\n" for line in lines)
+    """One line per document, each the `json.dumps(rec, ensure_ascii=False,
+    separators=(",", ":"))` of {"doc_id","title","body"}, written with json's
+    own string encoder."""
+    q = encode_basestring
+    return "".join(f'{{"doc_id":{q(d.doc_id)},"title":{q(d.title)},"body":{q(d.body)}}}\n'
+                   for d in docs)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from chainrank.corpus import Document
 from chainrank.feedback import prefs_cross_query, prefs_within_query
+from chainrank.fixtures import _FILLER, _TOPICS
 from chainrank.interleave import attribute, combine
 from chainrank.logs import ClickEvent, QueryEvent, SearchLog
 from chainrank.simulate import (INTENT_GAP_SECONDS, REFORMULATE_GAP_SECONDS, SESSION_GAP_SECONDS,
@@ -34,6 +35,19 @@ ANY_TEXT = st.one_of(
     st.sampled_from(['"', "\\", "\n", "\r\n", "\x00", "\x1f", "\x7f", "\x85", "\u2028",
                      "\u2029", "\ud800", "\udfff", "naïve", "😀", "\\u0041"]),
 )
+
+
+def reference_filler(n_docs: int, seed: int) -> dict[str, list[str]]:
+    """Each fixture document's 15 filler words, by doc id, drawn one scalar
+    `rng.integers` call at a time: topics in order, then each topic's
+    documents by index."""
+    rng = np.random.default_rng(seed)
+    per_topic, extra = divmod(n_docs, len(_TOPICS))
+    out = {}
+    for t_idx, topic in enumerate(_TOPICS):
+        for j in range(per_topic + (1 if t_idx < extra else 0)):
+            out[f"{topic}-{j:03d}"] = [_FILLER[int(rng.integers(len(_FILLER)))] for _ in range(15)]
+    return out
 
 
 def _refuse_constant(constant: str):

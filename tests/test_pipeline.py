@@ -403,6 +403,14 @@ def test_fixtures_main_too_few_docs_exits_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_fixtures_main_negative_seed_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "fixtures"
+    assert fixtures_main([str(out_dir), "--docs", "300", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be non-negative, got -1" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("out_name", ["file", "file/sub"])
 def test_fixtures_main_unwritable_out_dir_exits_2(tmp_path, capsys, out_name):
     (tmp_path / "file").write_text("")
