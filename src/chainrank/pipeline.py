@@ -34,7 +34,7 @@ from .feedback import MODES, Preference, prefs_for_log, read_preferences, strate
 from .interleave import sign_test
 from .logs import LOG_VERSION, SearchLog, parse_log, write_log
 from .ranking import RerankRequest, rerank
-from .simulate import (Intent, PairEvalResult, UserBehavior, interleaved_eval, read_intents,
+from .simulate import (Intent, PairEvalResult, UserBehavior, interleaved_evals, read_intents,
                        read_truth, simulate, write_truth)
 from .solver import (DEFAULT_C, DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, DEFAULT_W_MIN, Model,
                      PreferenceConstraint, fit_model, model_from_json, model_to_json)
@@ -86,9 +86,13 @@ class ExperimentConfig:
                 raise DataError(f"config field {name} must be positive")
         if self.seed < 0:
             raise DataError(f"config field seed must be non-negative, got {self.seed}")
+        listed = set()
         for pair in self.comparisons:
             if not is_comparison(pair):
                 raise DataError(f"bad comparison {pair}; sides must be two of {sorted(SIDES)}")
+            if tuple(pair) in listed:  # it would write one eval artifact twice
+                raise DataError(f"comparison {pair} is listed twice")
+            listed.add(tuple(pair))
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -299,10 +303,14 @@ def build_constraints(
     Each delta equals `phi(preferred) - phi(other)`, written directly: the
     rank block is a +-1 run between the two documents' first firing
     thresholds (an absent document fires none), then the term/document ids,
-    the preferred document's grown first, merged by id.
+    the preferred document's grown first, merged by id.  A delta depends
+    only on (query terms, both thresholds, both documents), so each distinct
+    one is built once, at its first occurrence, and a repeat is the same
+    object.
     """
     queries = searchlog.queries()
-    per_query: dict[str, tuple[dict[str, int], list[str]]] = {}
+    per_query: dict[str, tuple[dict[str, int], tuple[str, ...]]] = {}
+    built: dict[tuple, PreferenceConstraint] = {}
     constraints = []
     for p in prefs:
         cached = per_query.get(p.wrt_query)
@@ -311,18 +319,22 @@ def build_constraints(
             if q is None:
                 raise DataError(f"preference references unknown query {p.wrt_query}")
             first = {doc: first_threshold(i) for i, doc in enumerate(q.results, start=1)}
-            cached = per_query[p.wrt_query] = (first, sorted(set(q.terms)))
+            cached = per_query[p.wrt_query] = (first, tuple(sorted(set(q.terms))))
         first, terms = cached
         a = first.get(p.preferred_doc, N_RANK_FEATURES)
         b = first.get(p.other_doc, N_RANK_FEATURES)
-        ids = list(range(min(a, b), max(a, b)))
-        values = [1.0 if a < b else -1.0] * len(ids)
-        term_items = [(space.term_doc_id(t, p.preferred_doc), 1.0) for t in terms]
-        term_items += [(space.term_doc_id(t, p.other_doc), -1.0) for t in terms]
-        for fid, v in sorted(item for item in term_items if item[0] is not None):
-            ids.append(fid)
-            values.append(v)
-        constraints.append(PreferenceConstraint(SparseVector(tuple(ids), tuple(values))))
+        key = (terms, a, b, p.preferred_doc, p.other_doc)
+        constraint = built.get(key)
+        if constraint is None:
+            ids = list(range(min(a, b), max(a, b)))
+            values = [1.0 if a < b else -1.0] * len(ids)
+            term_items = [(space.term_doc_id(t, p.preferred_doc), 1.0) for t in terms]
+            term_items += [(space.term_doc_id(t, p.other_doc), -1.0) for t in terms]
+            for fid, v in sorted(item for item in term_items if item[0] is not None):
+                ids.append(fid)
+                values.append(v)
+            constraint = built[key] = PreferenceConstraint(SparseVector(tuple(ids), tuple(values)))
+        constraints.append(constraint)
     return constraints
 
 
@@ -433,11 +445,9 @@ def stage_interleave(cfg: ExperimentConfig, store, pair: tuple[str, str] | None 
     seed = _stage_seed(cfg.seed, "interleave")
     pairs = [pair] if pair else cfg.comparisons
     rankers = {side: _ranker(store, side) for side in sorted({s for p in pairs for s in p})}
-    for a, b in pairs:
-        res = interleaved_eval(
-            rankers[a], rankers[b], intents, cfg.behavior(), cfg.eval_sessions, seed,
-            cfg.results_per_query,
-        )
+    results = interleaved_evals([(rankers[a], rankers[b]) for a, b in pairs], intents,
+                                cfg.behavior(), cfg.eval_sessions, seed, cfg.results_per_query)
+    for (a, b), res in zip(pairs, results):
         payload = {"version": ARTIFACT_VERSION, "modes": f"{a}_vs_{b}", **asdict(res), "seed": seed}
         store.put(f"eval_{a}_vs_{b}", payload, seed=seed)
         log.info("interleaved %s vs %s: %d/%d/%d", a, b, res.wins_a, res.wins_b, res.ties)

@@ -5,10 +5,11 @@ generator in the state of `np.random.default_rng([seed, s])`.  It computes
 numpy's seeding of those states for many sessions at once, as uint32 array
 operations, and re-seeds one generator with each.  `derived_rng(a, b)` is the
 generator `np.random.default_rng([a, b])` on its own, for a stream that is
-built once, such as a preference chain's padding draws.  `BlockUniforms`
-hands out a generator's `random()` draws a block at a time.  All three yield
-exactly the values the plain numpy calls yield, so output seeded through
-them does not change.
+built once, such as a preference chain's padding draws.  `SharedUniforms`
+hands out a generator's `random()` draws from a list it extends a block at
+a time, and several cursors can read that one list, each from its start.
+All three yield exactly the values the plain numpy calls yield, so output
+seeded through them does not change.
 """
 
 from __future__ import annotations
@@ -141,24 +142,32 @@ def session_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
         yield derived_rng(seed, s)
 
 
-class BlockUniforms:
-    """`rng.random()` draws, taken from `rng` SIZE at a time.
+class SharedUniforms:
+    """One stream's `rng.random()` draws, read in order from the list `draws`.
 
-    `rng.random(SIZE)` yields the values that SIZE scalar `rng.random()`
-    calls would, in the same order, so the draws are unchanged.  The
-    generator ends up to SIZE - 1 draws further along than the scalar calls
-    would leave it: draw nothing else from it afterwards.
+    Every cursor made over the same `rng` and `draws` reads the same values
+    from the first, so several readers of one stream see the draws one
+    reader would.  A cursor that reads past the end of the list extends it
+    by `rng.random(SIZE)`, which yields the values that SIZE scalar
+    `rng.random()` calls would, in the same order.  The generator ends up
+    to SIZE - 1 draws further along than the scalar calls would leave it:
+    draw nothing else from it afterwards.
     """
 
-    SIZE = 32  # an `interleaved_eval` session draws ~13 (at most 32 seen), so one block
+    SIZE = 32  # an evaluation session draws ~13 (rarely more than 32), so one block is usual
 
-    __slots__ = ("_rng", "_block")
+    __slots__ = ("_rng", "_draws", "_next")
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, draws: list[float]):
         self._rng = rng
-        self._block: list[float] = []
+        self._draws = draws
+        self._next = 0
 
     def random(self) -> float:
-        if not self._block:
-            self._block = self._rng.random(self.SIZE)[::-1].tolist()  # popped from the end
-        return self._block.pop()
+        i = self._next
+        self._next = i + 1
+        try:
+            return self._draws[i]
+        except IndexError:  # cursors read in order, so i is the list's length
+            self._draws.extend(self._rng.random(self.SIZE).tolist())
+            return self._draws[i]

@@ -15,14 +15,16 @@ read of a clicked page: a session ends once some clicked document is judged
 relevant (truly relevant with probability 1 - noise, irrelevant with
 probability noise), or when the script is abandoned.  One user model serves
 both populations: `simulate`'s users, who write the training log, and
-`interleaved_eval`'s, who judge the rankers, take the same step per query.
+`interleaved_evals`'s, who judge the rankers, take the same step per query.
 
 Every query is recorded with its presented results, and a sidecar stream
 maps each query to its intent and true relevance grades, so chain detection,
 preference strategies, and interleaved evaluation can all be scored against
 ground truth.  Each session draws from its own generator, that of (seed,
 session index), from `randomness.session_streams`: generation order cannot
-change the output.
+change the output.  Interleaved evaluation takes each session's generator
+once for all the comparisons it runs, and every comparison reads that
+session's draws from the first, as it would alone.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from typing import Callable
 from .corpus import RESULTS_PER_QUERY, Corpus, RankedList
 from .errors import DataError, canonical_json, json_lines, json_object, malformed, string, strings
 from .feedback import Preference
-from .interleave import Interleaving, attribute, combine
+from .interleave import attribute, combine
 from .logs import ClickEvent, QueryEvent, SearchLog
-from .randomness import BlockUniforms, Uniforms, session_streams
+from .randomness import SharedUniforms, Uniforms, session_streams
 
 Ranker = Callable[[list[str], int], RankedList]
 
@@ -95,7 +97,7 @@ class TruthRecord:
 def scan_and_click(grades: list[float], behavior: UserBehavior, rng: Uniforms) -> list[int]:
     """Simulate one top-down scan; returns clicked 0-based positions in order.
 
-    `rng` is anything with `random()`: a numpy Generator, or a BlockUniforms.
+    `rng` is anything with `random()`: a numpy Generator, or a SharedUniforms.
     """
     eps = behavior.click_noise
     clicked: list[int] = []
@@ -110,17 +112,18 @@ def scan_and_click(grades: list[float], behavior: UserBehavior, rng: Uniforms) -
 
 
 def _view(
-    intent: Intent, shown: list[str], last: bool, behavior: UserBehavior, rng: Uniforms,
+    grades: list[float], last: bool, behavior: UserBehavior, rng: Uniforms,
 ) -> tuple[list[int], bool]:
-    """One user's turn on one query: scan `shown` and click, then read the
-    clicked pages in click order until one looks relevant (with the confusion
-    rate of clicking).  Unsatisfied, the user goes on to the next query with
-    probability `reformulate_prob`, unless this is the script's `last` query.
-    Returns the clicked 0-based positions, in click order, and whether the user goes on."""
-    clicked = scan_and_click([intent.grade(d) for d in shown], behavior, rng)
+    """One user's turn on one query, whose shown results have true relevance
+    `grades`: scan and click, then read the clicked pages in click order
+    until one looks relevant (with the confusion rate of clicking).
+    Unsatisfied, the user goes on to the next query with probability
+    `reformulate_prob`, unless this is the script's `last` query.  Returns
+    the clicked 0-based positions, in click order, and whether the user goes on."""
+    clicked = scan_and_click(grades, behavior, rng)
     eps = behavior.click_noise
     for pos in clicked:
-        if rng.random() < ((1.0 - eps) if intent.grade(shown[pos]) >= 0.5 else eps):
+        if rng.random() < ((1.0 - eps) if grades[pos] >= 0.5 else eps):
             return clicked, False
     return clicked, not last and rng.random() < behavior.reformulate_prob
 
@@ -173,7 +176,8 @@ def simulate(
                 results = ranking.doc_ids()
                 events.append(QueryEvent(qid, session_id, t, list(terms), results))
                 truth.append(TruthRecord(qid, intent.intent_id, intent.relevant_docs))
-                clicked, goes_on = _view(intent, results, qi == len(script) - 1, behavior, rng)
+                grades = [intent.grade(d) for d in results]
+                clicked, goes_on = _view(grades, qi == len(script) - 1, behavior, rng)
                 for pos in clicked:
                     t += 1
                     events.append(ClickEvent(qid, results[pos], pos + 1, t))
@@ -247,45 +251,89 @@ def interleaved_eval(
     seed: int,
     results_per_query: int = RESULTS_PER_QUERY,
 ) -> PairEvalResult:
-    """Present combined rankings to simulated users and tally per-query winners.
+    """`interleaved_evals` of the one comparison (`ranker_a`, `ranker_b`)."""
+    return interleaved_evals([(ranker_a, ranker_b)], intents, behavior, n_sessions, seed,
+                             results_per_query)[0]
+
+
+class _Case:
+    """One interleaving as the users of one intent see it.
+
+    It holds the combined list, its shown top, the shown documents' grades,
+    and the winner of each set of clicked positions met so far, found by
+    `attribute` on its first occurrence.
+    """
+
+    __slots__ = ("inter", "shown", "grades", "winners")
+
+    def __init__(self, ranking_a: RankedList, ranking_b: RankedList, a_first: bool,
+                 intent: Intent, results_per_query: int):
+        self.inter = combine(list(ranking_a.ids), list(ranking_b.ids), first_r=a_first)
+        self.shown = self.inter.combined[:results_per_query]
+        self.grades = [intent.grade(d) for d in self.shown]
+        self.winners: dict[tuple[int, ...], str] = {}
+
+    def winner(self, clicked: list[int]) -> str:
+        key = tuple(clicked)
+        won = self.winners.get(key)
+        if won is None:
+            won = self.winners[key] = attribute(self.inter, {self.shown[p] for p in clicked}).winner
+        return won
+
+
+def interleaved_evals(
+    pairs: list[tuple[Ranker, Ranker]],
+    intents: list[Intent],
+    behavior: UserBehavior,
+    n_sessions: int,
+    seed: int,
+    results_per_query: int = RESULTS_PER_QUERY,
+) -> list[PairEvalResult]:
+    """Present combined rankings to simulated users and tally per-query
+    winners, one result per (ranker A, ranker B) of `pairs`, in one pass.
 
     Each session is one `simulate` user on its intent's script: it stops once
     satisfied, abandons the script with probability 1 - `reformulate_prob`
     after each unsatisfied query, and reads its clicks in click order.  The
     leading side is drawn once per session (the user keeps one blend for the
-    whole session) from the same derived generator as everything else.  Each
-    distinct (both rankings, leading side) is interleaved once per call; the
-    rankings key the memo, so a ranker may return different lists for the
-    same terms.
+    whole session).  A session's generator is taken from `session_streams`
+    once and shared by every comparison: each reads the session's draws from
+    the first, so a comparison's result is the one it gets alone.  Each
+    distinct (both rankings, leading side, intent) is interleaved and graded
+    once per call; the rankings key the memo, so a ranker may return
+    different lists for the same terms.
     """
     _check_sessions(intents, n_sessions)
-    result = PairEvalResult()
-    cases: dict[tuple, tuple[Interleaving, list[str]]] = {}
+    results = [PairEvalResult() for _ in pairs]
+    cases: dict[tuple, _Case] = {}
     for s, stream in enumerate(session_streams(seed, n_sessions)):
-        rng = BlockUniforms(stream)  # this loop only draws `random()`
-        a_first = bool(rng.random() < 0.5)  # session-sticky coin
-        intent = intents[s % len(intents)]
+        draws: list[float] = []  # the session's draws, read by every comparison
+        intent_idx = s % len(intents)
+        intent = intents[intent_idx]
         script = intent.query_script
-        for qi, terms in enumerate(script):
-            docs_a = ranker_a(list(terms), results_per_query).doc_ids()
-            docs_b = ranker_b(list(terms), results_per_query).doc_ids()
-            key = (tuple(docs_a), tuple(docs_b), a_first)
-            if key not in cases:
-                inter = combine(docs_a, docs_b, first_r=a_first)
-                cases[key] = (inter, inter.combined[:results_per_query])
-            inter, shown = cases[key]
-            clicked, goes_on = _view(intent, shown, qi == len(script) - 1, behavior, rng)
-            att = attribute(inter, {shown[p] for p in clicked})
-            result.impressions += 1
-            if att.winner == "r":
-                result.wins_a += 1
-            elif att.winner == "r_prime":
-                result.wins_b += 1
-            else:
-                result.ties += 1
-            if not goes_on:
-                break
-    return result
+        for (ranker_a, ranker_b), result in zip(pairs, results):
+            rng = SharedUniforms(stream, draws)  # this loop only draws `random()`
+            a_first = bool(rng.random() < 0.5)  # session-sticky coin
+            for qi, terms in enumerate(script):
+                ranking_a = ranker_a(list(terms), results_per_query)
+                ranking_b = ranker_b(list(terms), results_per_query)
+                key = (ranking_a.ids, ranking_b.ids, a_first, intent_idx)
+                case = cases.get(key)
+                if case is None:
+                    case = cases[key] = _Case(ranking_a, ranking_b, a_first, intent,
+                                              results_per_query)
+                clicked, goes_on = _view(case.grades, qi == len(script) - 1, behavior, rng)
+                winner = case.winner(clicked)
+                result.impressions += 1
+                if winner == "r":
+                    result.wins_a += 1
+                elif winner == "r_prime":
+                    result.wins_b += 1
+                else:
+                    result.ties += 1
+                if not goes_on:
+                    break
+    return results
 
 
 def write_truth(records: list[TruthRecord]) -> str:

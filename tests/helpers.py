@@ -16,7 +16,7 @@ from chainrank.fixtures import _FILLER, _TOPICS
 from chainrank.interleave import attribute, combine
 from chainrank.logs import ClickEvent, QueryEvent, SearchLog
 from chainrank.simulate import (INTENT_GAP_SECONDS, REFORMULATE_GAP_SECONDS, SESSION_GAP_SECONDS,
-                                Intent, PairEvalResult, TruthRecord, _view, scan_and_click)
+                                Intent, PairEvalResult, TruthRecord, scan_and_click)
 
 
 def make_query(qid, session, t, terms, docs):
@@ -308,7 +308,12 @@ def naive_retrieve(index: dict, query_terms: list[str], k: int) -> list[tuple[st
 
 def interleaved_eval_per_query(ranker_a, ranker_b, intents, behavior, n_sessions, seed,
                                results_per_query=10) -> PairEvalResult:
-    """Interleaved evaluation with no memo: combine and attribute on every query."""
+    """Interleaved evaluation with no memo: combine and attribute on every query.
+
+    The user's step is written out here as it was first written: a scan with
+    `scan_and_click` over the shown documents' grades, then the page reads in
+    click order, then the reformulation draw.
+    """
     result = PairEvalResult()
     for s in range(n_sessions):
         rng = np.random.default_rng([seed, s])
@@ -319,8 +324,12 @@ def interleaved_eval_per_query(ranker_a, ranker_b, intents, behavior, n_sessions
             rb = ranker_b(list(terms), results_per_query)
             inter = combine(ra.doc_ids(), rb.doc_ids(), first_r=a_first)
             shown = inter.combined[:results_per_query]
+            clicked_pos = scan_and_click([intent.grade(d) for d in shown], behavior, rng)
+            eps = behavior.click_noise
+            satisfied = any(rng.random() < ((1.0 - eps) if intent.grade(shown[p]) >= 0.5 else eps)
+                            for p in clicked_pos)
             last = qi == len(intent.query_script) - 1
-            clicked_pos, goes_on = _view(intent, shown, last, behavior, rng)
+            goes_on = not satisfied and not last and rng.random() < behavior.reformulate_prob
             clicked_docs = {shown[p] for p in clicked_pos}
             winner = attribute(inter, clicked_docs).winner
             result.impressions += 1

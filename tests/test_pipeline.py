@@ -13,8 +13,8 @@ from chainrank.chains import DEFAULT_WINDOW_SECONDS, segment_log
 from chainrank.cli import main as cli_main
 from chainrank.corpus import BASE_DEPTH, RankedList, base_retrieve, build_index
 from chainrank.errors import DataError, StageError
-from chainrank.features import FeatureSpace, phi
-from chainrank.feedback import MODES, prefs_for_log
+from chainrank.features import N_RANK_FEATURES, FeatureSpace, phi
+from chainrank.feedback import MODES, Preference, Strategy, prefs_for_log
 from chainrank.fixtures import documents_to_jsonl, make_fixture
 from chainrank.fixtures import main as fixtures_main
 from chainrank.logs import SearchLog
@@ -33,7 +33,8 @@ from chainrank.pipeline import (
     stage_simulate,
 )
 from chainrank.simulate import PairEvalResult, UserBehavior, simulate, write_intents
-from chainrank.solver import model_to_json
+from chainrank.solver import _aggregate, model_to_json
+from helpers import make_query
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +307,20 @@ def test_cli_bool_config_value_exits_2(cfg, tmp_path, capsys, field):
     assert "Traceback" not in err
 
 
+def test_cli_comparison_listed_twice_exits_2(cfg, tmp_path, capsys):
+    raw = json.loads(cfg.config_path.read_text())
+    path = tmp_path / "twice.json"
+    twice = [["qc", "base"], ["qc", "nc"], ["qc", "base"]]
+    path.write_text(json.dumps({**raw, "comparisons": twice}))
+    assert cli_main(["index", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "comparison ['qc', 'base'] is listed twice" in err
+    assert "Traceback" not in err
+    # the mirrored pair is a comparison of its own, with its own artifact
+    path.write_text(json.dumps({**raw, "comparisons": [["qc", "base"], ["base", "qc"]]}))
+    assert cli_main(["index", "--config", str(path)]) == 0
+
+
 def test_cli_config_directory_exits_2(tmp_path, capsys):
     assert cli_main(["index", "--config", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -566,6 +581,42 @@ def test_build_constraints_match_phi_oracle(small_fixture):
             )
             assert c.delta == expected
         assert space.term_doc_pairs() == oracle_space.term_doc_pairs()
+
+
+def _two_term_log(rankings: list[list[str]]) -> SearchLog:
+    """One session, one query per ranking, every query on the terms alpha and beta."""
+    return SearchLog([make_query(f"q{i}", "s1", 10 * i, ["beta", "alpha"] if i % 2 else
+                                 ["alpha", "beta"], docs) for i, docs in enumerate(rankings)])
+
+
+def test_build_constraints_returns_a_repeated_constraint_itself():
+    # d2 over d1 at the same ranks of two queries on the same terms is one constraint;
+    # at other ranks it is another
+    searchlog = _two_term_log([["d1", "d2", "d3"], ["d1", "d2", "d3"], ["d3", "d1", "d2"]])
+    prefs = [Preference("d2", "d1", qid, Strategy.CLICK_SKIP_ABOVE) for qid in ("q0", "q1", "q2")]
+    space = FeatureSpace((BASE_FN,))
+    first, repeat, other = build_constraints(prefs, searchlog, space)
+    assert repeat is first
+    assert other is not first and other.delta != first.delta
+    oracle = FeatureSpace((BASE_FN,))
+    terms = ["alpha", "beta"]
+    assert first.delta == phi(oracle, "d2", terms, 2) - phi(oracle, "d1", terms, 1)
+    assert space.term_doc_pairs() == oracle.term_doc_pairs()
+
+
+def test_equal_constraints_of_different_keys_merge_in_the_solver():
+    # both documents absent, then both at ranks 11 and 12, which share a first
+    # threshold: two keys, one delta (the term ids alone), one row of weight 2
+    filler = [f"f{i}" for i in range(10)]
+    searchlog = _two_term_log([["d3"], filler + ["d1", "d2"]])
+    prefs = [Preference("d2", "d1", qid, Strategy.CLICK_SKIP_ABOVE) for qid in ("q0", "q1")]
+    space = FeatureSpace((BASE_FN,))
+    absent, same_threshold = build_constraints(prefs, searchlog, space)
+    assert absent is not same_threshold
+    assert absent.delta == same_threshold.delta
+    assert all(fid >= N_RANK_FEATURES for fid in absent.delta.ids)
+    rows, counts, dropped = _aggregate([absent, same_threshold], space.dim)
+    assert len(rows) == 1 and counts == [2] and dropped == 0
 
 
 @pytest.mark.parametrize("pair", ["qc", "qc,zz", "qc,qc"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainrank.randomness import CHUNK, BlockUniforms, derived_rng, session_streams
+from chainrank.randomness import CHUNK, SharedUniforms, derived_rng, session_streams
 
 EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 SESSION_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
@@ -31,10 +31,17 @@ def test_derived_rng_refuses_negative_values_as_numpy_does(values):
     assert str(got.value) == str(expected.value)
 
 
-def test_block_uniforms_match_scalar_draws_across_refills():
-    scalar = np.random.default_rng([3, 11])
-    block = BlockUniforms(np.random.default_rng([3, 11]))  # 100 draws span four blocks of 32
-    assert [block.random() for _ in range(100)] == [scalar.random() for _ in range(100)]
+def test_shared_uniforms_match_scalar_draws_across_refills():
+    # two cursors on one stream, read in turns: 100 draws each span four
+    # blocks of 32, and each cursor extends the shared list at some turn
+    want = np.random.default_rng([3, 11]).random(100).tolist()
+    rng, draws = np.random.default_rng([3, 11]), []
+    cursors = {"first": SharedUniforms(rng, draws), "second": SharedUniforms(rng, draws)}
+    got = {"first": [], "second": []}
+    for name, n in [("first", 5), ("second", 30), ("first", 40), ("second", 20),
+                    ("first", 1), ("second", 45), ("first", 54), ("second", 5)]:
+        got[name] += [cursors[name].random() for _ in range(n)]
+    assert got == {"first": want, "second": want}
 
 
 def _draws(rng):

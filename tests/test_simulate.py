@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import numpy as np
@@ -12,11 +13,13 @@ from chainrank.feedback import prefs_for_log
 from chainrank.fixtures import make_fixture
 from chainrank.logs import ClickEvent, QueryEvent, group_sessions, parse_log, write_log
 from chainrank.pipeline import base_ranker
+from chainrank.randomness import SharedUniforms
 from chainrank.simulate import (
     Intent,
     TruthRecord,
     UserBehavior,
     interleaved_eval,
+    interleaved_evals,
     read_intents,
     read_truth,
     scan_and_click,
@@ -260,6 +263,53 @@ def test_interleaved_eval_grades_each_intent_apart(small_world):
     assert got == interleaved_eval_per_query(fresh, reversed_base, twins, behavior,
                                              n_sessions=40, seed=4)
     assert got.wins_a > 0 and got.wins_b > 0
+
+
+def _eval_world(small_world, world):
+    """(intents, behavior) of one evaluation world."""
+    _, fresh, intents = small_world
+    if world == "fixture":
+        return intents, UserBehavior(click_noise=0.1)
+    script = intents[0].query_script
+    if world == "twins":  # two intents share a script but not their relevant docs
+        shown = [fresh(list(terms), 10).doc_ids() for terms in script]
+        return ([Intent("top", {d: 1.0 for docs in shown for d in docs[:3]}, script),
+                 Intent("bottom", {d: 1.0 for docs in shown for d in docs[-3:]}, script)],
+                UserBehavior(click_noise=0.05))
+    # "long": every result viewed, every click and page read a coin flip, and
+    # scripts of eight queries, so sessions read past one block of draws
+    return ([Intent(it.intent_id, it.relevant_docs, (it.query_script * 8)[:8]) for it in intents],
+            UserBehavior(scan_persistence=1.0, click_noise=0.5))
+
+
+@pytest.mark.parametrize("world", ["fixture", "twins", "long"])
+@pytest.mark.parametrize("n_pairs", [1, 2, 3])
+def test_one_pass_equals_separate_evaluations(small_world, monkeypatch, world, n_pairs):
+    corpus, fresh, _ = small_world
+    intents, behavior = _eval_world(small_world, world)
+    reversed_base = lambda terms, k: _listing(fresh(terms, k).doc_ids()[::-1])
+    shared = base_ranker(corpus)  # in the first two pairs of the one pass
+    makers = [lambda: (shared, reversed_base),
+              lambda: (_sometimes_reversed(fresh), shared),
+              lambda: (fresh, _memoized(reversed_base))][:n_pairs]
+
+    most = [0]  # the most draws any comparison read in one session
+
+    class CountingUniforms(SharedUniforms):
+        def random(self):
+            most[0] = max(most[0], self._next + 1)
+            return super().random()
+
+    # the module, not the `simulate` function the package exports under its name
+    monkeypatch.setattr(importlib.import_module("chainrank.simulate"), "SharedUniforms",
+                        CountingUniforms)
+    got = interleaved_evals([make() for make in makers], intents, behavior, n_sessions=50, seed=12)
+    want = [interleaved_eval_per_query(*make(), intents, behavior, n_sessions=50, seed=12)
+            for make in makers]
+    assert got == want
+    assert all(res.wins_a > 0 and res.wins_b > 0 for res in got)
+    if world == "long":
+        assert most[0] > SharedUniforms.SIZE
 
 
 @pytest.mark.parametrize("reformulate_prob", [0.0, 0.6, 1.0])
