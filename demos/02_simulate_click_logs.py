@@ -2,9 +2,9 @@
 # scan results top-down, click noisily on relevant documents, and reformulate
 # their query when a search fails.
 
-from chainrank import UserBehavior, base_retrieve, build_index, simulate, write_log
+from chainrank import UserBehavior, base_retrieve, build_index, write_log
 from chainrank.fixtures import make_fixture
-from chainrank.simulate import write_truth
+from chainrank.simulate import simulate, write_truth
 
 docs, intents = make_fixture(n_docs=300, seed=13)
 corpus = build_index(docs)

@@ -15,8 +15,7 @@ from .interleave import Attribution, Interleaving, attribute, combine, sign_test
 from .logs import ClickEvent, QueryEvent, SearchLog, group_sessions, parse_log, write_log
 from .pipeline import ExperimentConfig, run_experiment, run_stage
 from .ranking import RerankRequest, candidates, rerank, score
-from .simulate import (Intent, UserBehavior, interleaved_eval, interleaved_evals, simulate,
-                       strategy_accuracy)
+from .simulate import Intent, UserBehavior, interleaved_eval, interleaved_evals, strategy_accuracy
 from .solver import (
     Model,
     PreferenceConstraint,

@@ -2,7 +2,8 @@
 
     chainrank <stage> --config experiment.json [overrides...]
 
-Stages: index, simulate, chains, prefs, train, rerank, interleave, report.
+Stages: index, simulate, chains, prefs, train, rerank, interleave, report;
+`run` runs index to report in order, in one process.
 Exit codes: 0 success, 1 usage error, 2 data error.  Set CHAINRANK_LOG to
 debug/info/warning to control verbosity.
 """
@@ -20,6 +21,7 @@ from .feedback import MODES
 from .pipeline import SIDES, ExperimentConfig, is_comparison, run_stage
 
 USAGE_EXIT = 1
+_OVERRIDES = ("seed", "workdir", "sessions", "eval_sessions")  # config fields every stage takes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,6 +77,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--pair", type=_pair,
                    help="e.g. qc,base (default: all configured comparisons)")
     add("report", help="summarize interleaved evaluations")
+    add("run", help="run every stage in order, index to report")
     return parser
 
 
@@ -88,27 +91,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
 
-    overrides = {
-        key: getattr(args, key)
-        for key in ("seed", "workdir", "sessions", "eval_sessions")
-        if getattr(args, key, None) is not None
-    }
+    # every option left is a keyword of the stage function: mode, pair, query, k
+    kwargs = vars(args)
+    stage, config = kwargs.pop("stage"), kwargs.pop("config")
+    overrides = {key: value for key in _OVERRIDES if (value := kwargs.pop(key)) is not None}
     try:
-        cfg = ExperimentConfig.from_file(args.config, overrides)
-        if args.stage == "rerank":
-            ranking = run_stage("rerank", cfg, query=args.query, mode=args.mode, k=args.k)
-            for e in ranking.entries:
+        cfg = ExperimentConfig.from_file(config, overrides)
+        result = run_stage(stage, cfg, **kwargs)
+        if stage == "rerank":
+            for e in result.entries:
                 print(f"{e.doc_id}\t{e.score:.6f}\t{e.origin}")
-        elif args.stage in ("prefs", "train"):
-            run_stage(args.stage, cfg, mode=args.mode)
-        elif args.stage == "interleave":
-            run_stage("interleave", cfg, pair=args.pair)
-        elif args.stage == "report":
-            report, text = run_stage("report", cfg)
+        elif stage in ("report", "run"):
+            report, text = result
             print(text)
             print(json.dumps(report, sort_keys=True))
-        else:
-            run_stage(args.stage, cfg)
     except ChainrankError as exc:
         print(f"chainrank: {exc}", file=sys.stderr)
         return DATA_EXIT

@@ -40,7 +40,6 @@ import numpy as np
 from .chains import QueryChain
 from .errors import DataError, json_lines, string
 from .logs import ClickEvent, QueryEvent, SearchLog
-from .randomness import derived_rng
 
 
 class Strategy(str, Enum):
@@ -196,7 +195,7 @@ def prefs_cross_query(
 
 def _chain_rng(seed: int, chain_id: str) -> np.random.Generator:
     digest = hashlib.sha256(chain_id.encode("utf-8")).digest()
-    return derived_rng(seed, int.from_bytes(digest[:8], "big"))
+    return np.random.default_rng([seed, int.from_bytes(digest[:8], "big")])
 
 
 def prefs_for_log(

@@ -2,11 +2,12 @@
 
 Stages (index, simulate, chains, prefs, train, rerank, interleave, report)
 are functions `(cfg, store, **kw)`: each reads its inputs from the store by
-artifact name and puts its outputs back.  Two stores exist.  `DiskStore`
-keeps artifacts as versioned files in the working directory, which is how
-the CLI runs one stage per process; `MemoryStore` keeps live objects, which
-is how `run_experiment` runs them all in one call.  Both paths run the same
-stage bodies, so their reports and models agree byte for byte.
+artifact name and puts its outputs back.  `run_all` holds their order, index
+to report, once.  Two stores exist.  `DiskStore` keeps artifacts as
+versioned files in the working directory: the CLI runs one stage over it, or
+`run_all` (`chainrank run`).  `MemoryStore` keeps live objects:
+`run_experiment` is `run_all` over it.  Every path runs the same stage
+bodies, so their reports and models agree byte for byte.
 
 Every stage is deterministic: a rerun with identical inputs reproduces each
 artifact byte for byte.  Every stage draws randomness from a generator
@@ -86,6 +87,12 @@ class ExperimentConfig:
                 raise DataError(f"config field {name} must be positive")
         if self.seed < 0:
             raise DataError(f"config field seed must be non-negative, got {self.seed}")
+        if self.results_per_query > BASE_DEPTH:  # a logged query holds at most BASE_DEPTH results
+            raise DataError(f"config field results_per_query must be at most {BASE_DEPTH}, "
+                            f"got {self.results_per_query}")
+        for name in ("noise", "scan_persistence", "reformulate_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise DataError(f"config field {name} must be in [0, 1], got {getattr(self, name)}")
         listed = set()
         for pair in self.comparisons:
             if not is_comparison(pair):
@@ -468,6 +475,19 @@ def stage_report(cfg: ExperimentConfig, store) -> tuple[dict, str]:
     return report, text
 
 
+def run_all(cfg: ExperimentConfig, store) -> tuple[dict, str]:
+    """Every stage in order over one store, index to report; prefs and train
+    run for each mode that `cfg.comparisons` names, in sorted order."""
+    stage_index(cfg, store)
+    stage_simulate(cfg, store)
+    stage_chains(cfg, store)
+    for mode in sorted({side for pair in cfg.comparisons for side in pair} - {"base"}):
+        stage_prefs(cfg, store, mode)
+        stage_train(cfg, store, mode)
+    stage_interleave(cfg, store)
+    return stage_report(cfg, store)
+
+
 STAGES = {
     "index": stage_index,
     "simulate": stage_simulate,
@@ -477,11 +497,13 @@ STAGES = {
     "rerank": stage_rerank,
     "interleave": stage_interleave,
     "report": stage_report,
+    "run": run_all,
 }
 
 
 def run_stage(name: str, cfg: ExperimentConfig, **kwargs):
-    """Run one named stage over the config's working directory; unknown names raise StageError."""
+    """Run one named stage, or `run` for all of them, over one DiskStore of the
+    config's working directory; unknown names raise StageError."""
     if name not in STAGES:
         raise StageError(f"unknown stage {name!r}; expected one of {sorted(STAGES)}")
     return STAGES[name](cfg, DiskStore(cfg), **kwargs)
@@ -496,7 +518,7 @@ def run_experiment(
     behavior: UserBehavior | None = None,
     **config,
 ) -> ExperimentArtifacts:
-    """Every stage in order over a memory store: index to report.
+    """`run_all` over a memory store that holds `docs` and `intents`.
 
     Keyword arguments are `ExperimentConfig` fields and take its defaults,
     except the smaller session counts.  `behavior` sets `noise`,
@@ -508,19 +530,14 @@ def run_experiment(
     # the inputs are in the store, so the config names no input paths
     cfg = ExperimentConfig(corpus="", intents="", sessions=sessions,
                            eval_sessions=eval_sessions, **config)
-    modes = sorted({m for pair in cfg.comparisons for m in pair} - {"base"})
     store = MemoryStore(docs=docs, intents=intents)
-    stage_index(cfg, store)
-    stage_simulate(cfg, store)
-    stage_chains(cfg, store)
-    for mode in modes:
-        stage_prefs(cfg, store, mode)
-        stage_train(cfg, store, mode)
-    stage_interleave(cfg, store)
-    report, text = stage_report(cfg, store)
+    report, text = run_all(cfg, store)
+
+    def by_mode(kind: str) -> dict:  # the store holds them in the order run_all trained them
+        return {name.partition("_")[2]: v for name, v in store.items() if name.startswith(kind + "_")}
+
     return ExperimentArtifacts(
         corpus=store["index"], log=store["log"], truth=store["truth"], chains=store["chains"],
-        prefs={m: store[f"prefs_{m}"] for m in modes},
-        models={m: store[f"model_{m}"] for m in modes},
+        prefs=by_mode("prefs"), models=by_mode("model"),
         outcomes=_outcomes(cfg, store), report=report, report_text=text,
     )

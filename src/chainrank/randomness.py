@@ -3,13 +3,13 @@
 `session_streams(seed, n)` yields, for each session s in range(n), a
 generator in the state of `np.random.default_rng([seed, s])`.  It computes
 numpy's seeding of those states for many sessions at once, as uint32 array
-operations, and re-seeds one generator with each.  `derived_rng(a, b)` is the
-generator `np.random.default_rng([a, b])` on its own, for a stream that is
-built once, such as a preference chain's padding draws.  `SharedUniforms`
-hands out a generator's `random()` draws from a list it extends a block at
-a time, and several cursors can read that one list, each from its start.
-All three yield exactly the values the plain numpy calls yield, so output
-seeded through them does not change.
+operations, and re-seeds one generator with each.  A stream built once,
+such as a preference chain's padding draws, is a plain
+`np.random.default_rng([a, b])`.  `SharedUniforms` hands out a generator's
+`random()` draws from a list it extends a block at a time, and several
+cursors can read that one list, each from its start.  Both yield exactly
+the values the plain numpy calls yield, so output seeded through them does
+not change.
 """
 
 from __future__ import annotations
@@ -48,19 +48,6 @@ def _words(value: int) -> list[int]:
         words.append(value & _WORD)
         value >>= 32
     return words
-
-
-def derived_rng(*values: int) -> np.random.Generator:
-    """`np.random.default_rng(list(values))`, with the same state, built faster.
-
-    numpy turns a list of ints into the uint32 words of each value.  Handing
-    it those words as an array skips that coercion.  The array is new on
-    every call because the SeedSequence keeps a reference to it.  A negative
-    value goes to numpy as a list, so it fails as numpy fails.
-    """
-    if any(v < 0 for v in values):
-        return np.random.default_rng(list(values))
-    return np.random.default_rng(np.array([w for v in values for w in _words(v)], dtype=np.uint32))
 
 
 def _hash_steps(value: int, multiplier: int) -> Iterator[tuple[int, int]]:
@@ -123,11 +110,11 @@ def session_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
     Every item is the same Generator, re-seeded, so a stream is only good
     until the next one is taken.  The Generator belongs to this call, so
     iterators advanced side by side stay independent.  A negative seed goes
-    to `derived_rng`, so it fails as numpy fails.
+    to `np.random.default_rng([seed, s])`, so it fails as numpy fails.
     """
     if seed < 0:
         for s in range(n):
-            yield derived_rng(seed, s)
+            yield np.random.default_rng([seed, s])
         return
     words = _words(seed)
     bitgen = np.random.PCG64(0)
@@ -139,7 +126,7 @@ def session_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
                             "has_uint32": 0, "uinteger": 0}
             yield rng
     for s in range(_ONE_WORD, n):  # a two-word index: seeded one session at a time
-        yield derived_rng(seed, s)
+        yield np.random.default_rng([seed, s])
 
 
 class SharedUniforms:

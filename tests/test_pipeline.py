@@ -65,14 +65,26 @@ def cfg(tmp_path, small_fixture):
 
 
 def run_all_stages(cfg):
+    """The stages one at a time, each over a fresh DiskStore: the reference for `run`."""
     run_stage("index", cfg)
     run_stage("simulate", cfg)
     run_stage("chains", cfg)
-    for mode in ("qc", "nc"):
-        run_stage("prefs", cfg, mode=mode)
-        run_stage("train", cfg, mode=mode)
+    for mode in MODES:
+        if any(mode in pair for pair in cfg.comparisons):
+            run_stage("prefs", cfg, mode=mode)
+            run_stage("train", cfg, mode=mode)
     run_stage("interleave", cfg)
     return run_stage("report", cfg)
+
+
+def with_fields(cfg, path, **changes):
+    """A copy of the test config's file at `path`, with `changes` applied."""
+    path.write_text(json.dumps({**json.loads(cfg.config_path.read_text()), **changes}))
+    return path
+
+
+def workdir_bytes(workdir) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in Path(workdir).iterdir()}
 
 
 def test_full_pipeline_stages(cfg):
@@ -85,6 +97,51 @@ def test_full_pipeline_stages(cfg):
                  "prefs_qc.jsonl", "prefs_nc.jsonl", "model_qc.json",
                  "model_nc.json", "eval_qc_vs_base.json", "report.json"):
         assert cfg.path(name).exists(), name
+
+
+@pytest.mark.parametrize("comparisons", [[["qc", "base"], ["qc", "nc"]], [["nc", "base"]]],
+                         ids=["default", "nc-base"])
+def test_cli_run_writes_the_workdir_of_the_single_stages(cfg, tmp_path, comparisons):
+    path = with_fields(cfg, tmp_path / "experiment.json", comparisons=comparisons)
+    run_all_stages(ExperimentConfig.from_file(path))
+    assert cli_main(["run", "--config", str(path), "--workdir", str(tmp_path / "run")]) == 0
+    want = workdir_bytes(cfg.workdir)
+    assert workdir_bytes(tmp_path / "run") == want
+    assert {name.endswith(".meta.json") for name in want} == {True, False}  # sidecars too
+    assert any("qc" in name for name in want) == any("qc" in pair for pair in comparisons)
+
+
+def test_cli_run_prints_what_report_prints(cfg, capsys):
+    config_path = str(cfg.config_path)
+    assert cli_main(["run", "--config", config_path]) == 0
+    printed = capsys.readouterr().out
+    assert cli_main(["report", "--config", config_path]) == 0
+    assert capsys.readouterr().out == printed
+    assert "qc vs base" in printed
+
+
+def test_cli_run_failure_names_the_file_and_stops(cfg, tmp_path, capsys):
+    run_stage("index", cfg)
+    index = cfg.path("index.json").read_bytes()
+    Path(cfg.intents).write_text(write_intents([]), encoding="utf-8")
+    workdir = tmp_path / "run"
+    assert cli_main(["run", "--config", str(cfg.config_path), "--workdir", str(workdir)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg.intents}: malformed intent file: it lists no intents" in err
+    assert "Traceback" not in err
+    assert workdir_bytes(workdir) == {"index.json": index}  # simulate wrote nothing
+
+
+@pytest.mark.parametrize("field, value", [
+    ("results_per_query", BASE_DEPTH + 50), ("noise", 2), ("scan_persistence", -0.1),
+    ("reformulate_prob", 1.5),
+])
+def test_cli_run_refuses_a_config_field_out_of_range(cfg, tmp_path, capsys, field, value):
+    path = with_fields(cfg, tmp_path / "bad.json", **{field: value})
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field {field} must be" in err and "Traceback" not in err
+    assert not Path(cfg.workdir).exists()
 
 
 def test_stage_rerun_byte_identical(cfg):

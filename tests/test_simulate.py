@@ -1,4 +1,3 @@
-import importlib
 import random
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainrank.simulate
 from chainrank.chains import segment_log
 from chainrank.corpus import RankedList, RankEntry, base_retrieve, build_index
 from chainrank.errors import DataError
@@ -300,9 +300,7 @@ def test_one_pass_equals_separate_evaluations(small_world, monkeypatch, world, n
             most[0] = max(most[0], self._next + 1)
             return super().random()
 
-    # the module, not the `simulate` function the package exports under its name
-    monkeypatch.setattr(importlib.import_module("chainrank.simulate"), "SharedUniforms",
-                        CountingUniforms)
+    monkeypatch.setattr(chainrank.simulate, "SharedUniforms", CountingUniforms)
     got = interleaved_evals([make() for make in makers], intents, behavior, n_sessions=50, seed=12)
     want = [interleaved_eval_per_query(*make(), intents, behavior, n_sessions=50, seed=12)
             for make in makers]
