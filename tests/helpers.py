@@ -387,3 +387,30 @@ def simulate_reference(ranker, intents, behavior, n_sessions, seed, results_per_
             else:
                 break
     return SearchLog(events), truth
+
+
+def trained_qc(docs, intents, seed: int = 7, sessions: int = 100):
+    """(corpus, qc model): the program's index, simulate, chains, prefs and
+    train stages over a memory store, as `run_experiment` runs them."""
+    from chainrank.pipeline import (ExperimentConfig, MemoryStore, stage_chains, stage_index,
+                                    stage_prefs, stage_simulate, stage_train)
+    cfg = ExperimentConfig(corpus="", intents="", seed=seed, sessions=sessions, eval_sessions=1)
+    store = MemoryStore(docs=docs, intents=intents)
+    for stage in (stage_index, stage_simulate, stage_chains, stage_prefs, stage_train):
+        stage(cfg, store)  # prefs and train default to the qc mode
+    return store["index"], store["model_qc"]
+
+
+def serve_queries(corpus, model, n: int, seed: int) -> list[list[str]]:
+    """`n` queries of 1-3 terms.  Each term is, by an even draw, one the model
+    weights for some document or any vocabulary term; a query may repeat one."""
+    learned = sorted({t for t, _, w in model.term_doc_items() if w != 0.0})
+    vocabulary = sorted(corpus.vocabulary)
+    rng = np.random.default_rng(seed)
+    queries = []
+    for _ in range(n):
+        size = int(rng.integers(1, 4))
+        picks = rng.random(size) < 0.5
+        queries.append([learned[int(rng.integers(len(learned)))] if p
+                        else vocabulary[int(rng.integers(len(vocabulary)))] for p in picks])
+    return queries
