@@ -4,7 +4,9 @@ The baseline scorer is a tf-idf cosine variant: ln-scaled term frequencies,
 smoothed idf, title tokens counted twice, and scores normalized by the
 document vector norm only.  Dropping the query-norm constant does not change
 the ranking for a fixed query and keeps scores monotone in added matching
-query terms.
+query terms.  The index tabulates 1 + ln n for every count n it stores; the
+document norms and each posting's weight at query time both read that table,
+so a query takes one logarithm per query term, not one per posting.
 
 `RankedList` is the one ranking type: base retrieval, a learned model's
 reranking and the CLI's `rerank` stage all return it.  An entry's rank is its
@@ -131,9 +133,10 @@ class Corpus:
     The index maps each term to {doc_id: weighted term frequency}, the
     count of the term in title + body plus one per title occurrence (title
     tokens count double), with doc_ids in sorted order.  It is built with
-    the idf and document norms on the first retrieval, so a stage that never
-    retrieves never pays for it.  Instances are safe for concurrent reads,
-    the first one included: one thread builds, the others wait for it.
+    the idf, the 1 + ln n table and the document norms on the first
+    retrieval, so a stage that never retrieves never pays for it.  Instances
+    are safe for concurrent reads, the first one included: one thread
+    builds, the others wait for it.
     """
 
     def __init__(self, documents: list[Document]):
@@ -150,8 +153,10 @@ class Corpus:
         """The indexed terms: a keys view, which compares equal to a set."""
         return self._index()[1].keys()
 
-    def _index(self) -> tuple[dict[str, float], dict[str, dict[str, int]], dict[str, float]]:
-        """(idf, weighted index, norms), built on the first call and the same object after."""
+    def _index(self) -> tuple[dict[str, float], dict[str, dict[str, int]], dict[str, float],
+                              list[float]]:
+        """(idf, weighted index, norms, log_tf), built on the first call and the same
+        object after; log_tf[n] is 1 + ln n for each count n up to the largest stored."""
         built = self._built  # read without the lock: once set, it never changes
         if built is not None:
             return built
@@ -178,7 +183,7 @@ class Corpus:
                     w = log_tf[wtf] * t_idf
                     norm_sq[doc_id] += w * w
             norms = {doc_id: math.sqrt(acc) for doc_id, acc in norm_sq.items()}
-            self._built = (idf, dict(weighted), norms)
+            self._built = (idf, dict(weighted), norms, log_tf)
             return self._built
 
     def __len__(self) -> int:
@@ -198,22 +203,30 @@ def base_retrieve(corpus: Corpus, query_terms: list[str], k: int = BASE_DEPTH) -
 
     Empty queries and queries matching nothing yield an empty list. Ties
     break by doc_id ascending: one sort of (-score, doc_id) pairs orders the
-    matches, and the first k become the list's columns.
+    matches, and the first k become the list's columns.  Query terms are
+    counted in a plain dict, and the first matching term, in sorted order,
+    fills the scores in one pass.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    counts = Counter(t for t in query_terms if t)
-    idf, weighted, norms = corpus._index()
-    log = math.log
+    counts: dict[str, int] = {}
+    for t in query_terms:
+        if t:
+            counts[t] = counts.get(t, 0) + 1
+    idf, weighted, norms, log_tf = corpus._index()
     scores: dict[str, float] = {}
     for term in sorted(counts):
         t_weighted = weighted.get(term)  # doc_id -> weighted count, by doc_id
         if t_weighted is None:
             continue
         t_idf = idf[term]
-        q_w = (1.0 + log(counts[term])) * t_idf
+        # log_tf stops at the largest count a document holds; a query may repeat a term more
+        q_w = (1.0 + math.log(counts[term])) * t_idf
+        if not scores:  # the first matching term fills the scores in one pass
+            scores = {d: 0.0 + q_w * (log_tf[wtf] * t_idf) for d, wtf in t_weighted.items()}
+            continue
         for doc_id, wtf in t_weighted.items():
-            scores[doc_id] = scores.get(doc_id, 0.0) + q_w * ((1.0 + log(wtf)) * t_idf)
+            scores[doc_id] = scores.get(doc_id, 0.0) + q_w * (log_tf[wtf] * t_idf)
     top = sorted([(-(s / norms[d]), d) for d, s in scores.items()])[:k]
     ids = tuple([d for _, d in top])
     return RankedList._of(ids, tuple([-neg for neg, _ in top]), ("base_results",) * len(ids))

@@ -111,6 +111,17 @@ def string(value) -> str:
     return value
 
 
+def integer(value) -> int:
+    """`value` itself if it is a JSON integer (an int, not a bool); a TypeError otherwise.
+
+    `int()` would turn 1.9 into 1, "5" into 5 and true into 1, so a record
+    would parse into an event that writes back as another line.
+    """
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def strings(value) -> list[str]:
     """`value` itself if it is a list of strings; a TypeError otherwise."""
     if not isinstance(value, list):

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=
 from typing import Union
 
 from .corpus import BASE_DEPTH
-from .errors import DataError, json_lines, string, strings
+from .errors import DataError, integer, json_lines, string, strings
 
 LOG_VERSION = 2  # stamped in the log artifact's sidecar
 
@@ -85,7 +85,8 @@ def _check_click(click: ClickEvent, query: QueryEvent) -> None:
 def parse_log(text: str) -> SearchLog:
     """Parse and validate a JSON-lines log in one pass.
 
-    Each record is checked as it is read: field types, a query id not used
+    Each record is checked as it is read: field types (a timestamp or rank
+    is a JSON integer, never a float, string or boolean), a query id not used
     by an earlier query, a click against the query it references (known,
     rank within its results, the document at that rank), and timestamps
     that never decrease within a session.  Any fault raises LogParseError
@@ -100,7 +101,7 @@ def parse_log(text: str) -> SearchLog:
             ev = QueryEvent(
                 query_id=string(rec["qid"]),
                 session_id=string(rec["session"]),
-                timestamp=int(rec["t"]),
+                timestamp=integer(rec["t"]),
                 terms=strings(rec["terms"]),
                 results=strings(rec["results"]),
             )
@@ -109,7 +110,7 @@ def parse_log(text: str) -> SearchLog:
             queries[ev.query_id] = ev
             session = ev.session_id
         elif kind == "click":
-            ev = ClickEvent(rec["qid"], rec["doc"], int(rec["rank"]), int(rec["t"]))
+            ev = ClickEvent(rec["qid"], rec["doc"], integer(rec["rank"]), integer(rec["t"]))
             q = queries.get(ev.query_id)
             if q is None:
                 raise DataError(f"click references unknown query_id {ev.query_id}")

@@ -187,20 +187,28 @@ def _read(path: Path, read: Callable[[], Any]):
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it into place.
+def _write_atomic(files: list[tuple[Path, str]]) -> None:
+    """Write each text to a temporary file beside its path, then rename them
+    into place in order.
 
-    A failed write leaves whatever `path` held and no temporary file.  The
-    rename survives a crash of the process; nothing is fsynced, so it does
-    not promise to survive a power loss.
+    Every temporary is written before any rename, so a failed write leaves
+    every path as it was, and no temporary file.  If a rename fails, the
+    files renamed before it are unlinked: none of them is left beside a file
+    of the previous write.  A rename survives a crash of the process; nothing
+    is fsynced, so it does not promise to survive a power loss.
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in files]
+    renamed = []
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        for tmp, (_, text) in zip(temps, files):
+            tmp.write_text(text, encoding="utf-8")
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+            renamed.append(path)
+    except BaseException:  # the temporaries not renamed, and the new files that were
+        for leftover in temps[len(renamed):] + renamed:
+            with contextlib.suppress(OSError):
+                leftover.unlink()
         raise
 
 
@@ -261,17 +269,20 @@ class DiskStore:
     def put(self, name: str, value, **meta) -> None:
         """Write `value`, plus a sidecar of version, producing stage and `meta`.
 
-        Each file is replaced whole or not at all.  An OSError on the way
-        (say, a workdir that is a file) is a StageError.
+        A failed write leaves the previous artifact and sidecar whole.  If
+        the sidecar cannot be renamed into place after the artifact was, the
+        new artifact is removed, so the next stage stops on a missing
+        artifact instead of reading it under the previous sidecar.  An
+        OSError on the way (say, a workdir that is a file) is a StageError.
         """
         fmt, path, meta_path = self._file(name)
-        text = fmt.dump(value)
+        files = [(path, fmt.dump(value))]
+        if fmt.sidecar:
+            files.append((meta_path, canonical_json(
+                {"version": fmt.version, "stage": fmt.producer, **meta})))
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            _write_atomic(path, text)
-            if fmt.sidecar:
-                _write_atomic(meta_path, canonical_json(
-                    {"version": fmt.version, "stage": fmt.producer, **meta}))
+            _write_atomic(files)
         except OSError as exc:
             raise StageError(f"cannot write artifact {path}: {exc}") from exc
         self._parsed[name] = value

@@ -13,11 +13,14 @@ Per model, and cached on it: a rank-score table mapping each base rank to
 its rank score, the base ranks 1..BASE_DEPTH ordered by (-rank score, rank),
 and a term -> {doc: weight} map of the nonzero term/document weights.  A
 request scores only the documents that carry a weight for a query term, one
-dict lookup per query term each.  Every other candidate is a base document
-whose score is its rank score alone, so those candidates come in final order
-from walking the cached rank order, and the walk stops after k of them.  A
-request thus costs about k plus the term-weighted documents, however deep
-the base ranking is.
+dict lookup per query term each, and counts the base-ranked ones as it goes;
+with a single weighted query term, that term's map is the set of them, so
+nothing is copied.  Every other candidate is a base document whose score is
+its rank score alone, so those candidates come in final order from walking
+the cached rank order, and the walk stops after k of them.  A request thus
+costs about k plus the term-weighted documents, however deep the base
+ranking is.  Each score is summed as `score` sums it, rank score first, then
+the query terms in sorted order, so the two agree to the bit.
 """
 
 from __future__ import annotations
@@ -137,19 +140,23 @@ def rerank(request: RerankRequest) -> RankedList:
     n = len(ids)
     table, order = _rank_table(model)
     term_maps = _term_maps(request.query_terms, model)
-    weighted = set().union(*term_maps)
+    # one weighted term's map is already the set of its documents; no copy needed
+    weighted = term_maps[0] if len(term_maps) == 1 else set().union(*term_maps)
     ranks = dict(zip(ids, range(1, n + 1))) if weighted else {}
     rows = []  # (-score, sort rank, doc_id) of each candidate scored
+    ranked_weighted = 0  # weighted documents within the rank features' depth
     for doc in weighted:  # summed as `score` sums: rank score, then terms in sorted order
         rank = ranks.get(doc, 0)
         total = 0.0
-        total += table[rank] if rank <= BASE_DEPTH else 0.0
+        if 0 < rank <= BASE_DEPTH:
+            ranked_weighted += 1
+            total += table[rank]
         for term_map in term_maps:
             total += term_map.get(doc, 0.0)
         rows.append((-total, rank or _UNRANKED, doc))
     # Every other candidate is a base document scored by its rank alone, and
     # `order` lists those best first; the answer uses at most k of them.
-    rank_scored = min(n, BASE_DEPTH) - sum(r <= BASE_DEPTH for _, r, _ in rows)
+    rank_scored = min(n, BASE_DEPTH) - ranked_weighted
     walk = ((-(0.0 + table[r]), r, ids[r - 1])
             for r in order if r <= n and ids[r - 1] not in weighted)
     rows.extend(islice(walk, min(request.k, rank_scored)))

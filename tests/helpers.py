@@ -15,6 +15,8 @@ from chainrank.feedback import prefs_cross_query, prefs_within_query
 from chainrank.fixtures import _FILLER, _TOPICS
 from chainrank.interleave import attribute, combine
 from chainrank.logs import ClickEvent, QueryEvent, SearchLog
+from chainrank.pipeline import (ExperimentConfig, MemoryStore, stage_chains, stage_index,
+                                stage_prefs, stage_simulate, stage_train)
 from chainrank.simulate import (INTENT_GAP_SECONDS, REFORMULATE_GAP_SECONDS, SESSION_GAP_SECONDS,
                                 Intent, PairEvalResult, TruthRecord, scan_and_click)
 
@@ -392,8 +394,6 @@ def simulate_reference(ranker, intents, behavior, n_sessions, seed, results_per_
 def trained_qc(docs, intents, seed: int = 7, sessions: int = 100):
     """(corpus, qc model): the program's index, simulate, chains, prefs and
     train stages over a memory store, as `run_experiment` runs them."""
-    from chainrank.pipeline import (ExperimentConfig, MemoryStore, stage_chains, stage_index,
-                                    stage_prefs, stage_simulate, stage_train)
     cfg = ExperimentConfig(corpus="", intents="", seed=seed, sessions=sessions, eval_sessions=1)
     store = MemoryStore(docs=docs, intents=intents)
     for stage in (stage_index, stage_simulate, stage_chains, stage_prefs, stage_train):

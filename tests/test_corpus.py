@@ -276,17 +276,20 @@ def test_index_matches_naive_builder(fields, queries):
     docs = [Document(f"d{i:02d}", title, body) for i, (title, body) in enumerate(fields)]
     corpus = build_index(docs[::-1])
     oracle = naive_index(docs)
-    idf, weighted, norms = corpus._index()
+    idf, weighted, norms, log_tf = corpus._index()
     assert corpus.vocabulary == set(oracle["postings"])
     assert idf == oracle["idf"]
     assert weighted == oracle["weighted"]
     assert norms == oracle["norms"]  # float ==: equal to the bit
+    top = max((n for counts in oracle["weighted"].values() for n in counts.values()), default=0)
+    assert log_tf == [0.0] + [1.0 + math.log(n) for n in range(1, top + 1)]
     for query in queries + [[term] for term in oracle["postings"]]:
         terms = [t for w in query for t in split_tokenize(w)]
         got = base_retrieve(corpus, terms, 5)
         assert [(e.doc_id, e.score) for e in got.entries] == naive_retrieve(oracle, terms, 5)
     # a second build over the same documents reuses their cached term counts
-    assert build_index(docs)._index() == (oracle["idf"], oracle["weighted"], oracle["norms"])
+    assert build_index(docs)._index() == (oracle["idf"], oracle["weighted"], oracle["norms"],
+                                          log_tf)
     for doc in docs:
         title, body = split_tokenize(doc.title), split_tokenize(doc.body)
         assert doc.term_counts == Counter(title + title + body)  # title tokens count double
@@ -308,6 +311,17 @@ def test_full_depth_retrieve_matches_naive_on_the_fixture():
         got = base_retrieve(corpus, terms, BASE_DEPTH)
         assert list(zip(got.ids, got.scores)) == naive_retrieve(oracle, terms, BASE_DEPTH)
         assert set(got.origins) <= {"base_results"}
+    # three terms with one repeated, in each position, cut at depths 1, 10 and
+    # 100; and a term repeated more often than any document holds one
+    repeats = [[t, u, t] for t, u in zip(vocabulary[::11], vocabulary[5::11])]
+    repeats += [[u, t, t] for t, u in zip(vocabulary[3::17], vocabulary[9::17])]
+    repeats += [[t, t, t] for t in vocabulary[::53]]
+    most = max(n for counts in oracle["weighted"].values() for n in counts.values())
+    repeats += [[t] * (most + 2) for t in vocabulary[::97]]
+    for terms in repeats:
+        for k in (1, 10, BASE_DEPTH):
+            got = base_retrieve(corpus, terms, k)
+            assert list(zip(got.ids, got.scores)) == naive_retrieve(oracle, terms, k)
 
 
 @settings(max_examples=300, deadline=None)

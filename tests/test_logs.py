@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +170,26 @@ def test_decreasing_timestamps_rejected():
     q2 = make_query("q2", "s1", 50, ["b"], ["d2"])
     with pytest.raises(DataError, match="decrease"):
         parse_log(write_log(SearchLog([q1, q2])))
+
+
+LOG_TEXT = ('{"type":"query","qid":"q1","session":"s1","t":10,"terms":["a"],"results":["d1","d2"]}\n'
+            '{"type":"click","qid":"q1","doc":"d1","rank":1,"t":11}\n')
+
+
+@pytest.mark.parametrize("line, field, spelling", [
+    (1, "t", "1.9"), (1, "t", '"5"'), (1, "t", "true"), (1, "t", "1e3"), (1, "t", "10.0"),
+    (2, "t", "11.5"), (2, "t", '"11"'), (2, "t", "true"),
+    (2, "rank", "1.0"), (2, "rank", '"1"'), (2, "rank", "true"), (2, "rank", "1e0"),
+])
+def test_non_integer_time_or_rank_rejected_naming_the_line(line, field, spelling):
+    # int() would read 1.9 as 1, "5" as 5, true as 1 and 1e3 as 1000, and the
+    # parsed log would write back as other text
+    assert write_log(parse_log(LOG_TEXT)) == LOG_TEXT
+    lines = LOG_TEXT.splitlines(keepends=True)
+    lines[line - 1] = re.sub(f'"{field}":[0-9]+', f'"{field}":{spelling}', lines[line - 1])
+    with pytest.raises(LogParseError,
+                       match=f"^line {line}: bad record: TypeError expected an integer, got"):
+        parse_log("".join(lines))
 
 
 def test_unknown_record_type():

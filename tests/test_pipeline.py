@@ -428,7 +428,14 @@ def _refuse_rename(src, dst):
     raise OSError(errno.EXDEV, "Invalid cross-device link")
 
 
-@pytest.mark.parametrize("fail", ["write", "rename"])
+def _sidecar_only(fail, real):
+    """`fail` when the first argument is a sidecar's temporary file, else `real`."""
+    def call(path, *args, **kwargs):
+        return (fail if ".meta.json." in Path(path).name else real)(path, *args, **kwargs)
+    return call
+
+
+@pytest.mark.parametrize("fail", ["write", "rename", "sidecar-write"])
 def test_failed_put_leaves_previous_artifact_whole(cfg, monkeypatch, fail):
     run_stage("index", cfg)
     run_stage("simulate", cfg)
@@ -438,14 +445,37 @@ def test_failed_put_leaves_previous_artifact_whole(cfg, monkeypatch, fail):
     with monkeypatch.context() as patch:
         if fail == "write":
             patch.setattr(Path, "write_text", _write_half_then_fail(Path.write_text))
-        else:
+        elif fail == "rename":
             patch.setattr(os, "replace", _refuse_rename)
+        else:  # the artifact's temporary is written, the sidecar's fails half way
+            patch.setattr(Path, "write_text", _sidecar_only(
+                _write_half_then_fail(Path.write_text), Path.write_text))
         with pytest.raises(StageError, match="cannot write artifact .*log.jsonl"):
             DiskStore(cfg).put("log", shorter, seed=1)
     assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
     DiskStore(cfg).put("log", shorter, seed=1)  # unpatched, the same put goes through
     assert DiskStore(cfg)["log"] == shorter
     assert sorted(p.name for p in workdir.iterdir()) == sorted(before)
+
+
+def test_failed_sidecar_rename_removes_the_new_artifact(cfg, monkeypatch):
+    # the artifact is renamed into place, its sidecar is not: left as it
+    # was, the new log would be read under the previous run's sidecar
+    run_stage("index", cfg)
+    run_stage("simulate", cfg)
+    run_stage("chains", cfg)
+    workdir = Path(cfg.workdir)
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    shorter = SearchLog(DiskStore(cfg)["log"].events[:10])
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", _sidecar_only(_refuse_rename, os.replace))
+        with pytest.raises(StageError, match="cannot write artifact .*log.jsonl"):
+            DiskStore(cfg).put("log", shorter, seed=1)
+    del before["log.jsonl"]
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+    with pytest.raises(StageError, match=r"missing artifact .*log\.jsonl; run the 'simulate' "
+                                         r"stage first"):
+        run_stage("chains", cfg)
 
 
 def test_cli_workdir_is_file_exits_2(cfg, tmp_path, capsys):

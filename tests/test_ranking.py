@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from chainrank.corpus import Document, RankedList, RankEntry, base_retrieve, build_index
 from chainrank.features import N_RANK_FEATURES, FeatureSpace, SparseVector, phi
+from chainrank.fixtures import make_fixture
 from chainrank.ranking import RerankRequest, candidates, rerank, score
 from chainrank.solver import Model, PreferenceConstraint, fit_model, fresh_model
+from helpers import serve_queries, trained_qc
 
 
 def ranked(docs):
@@ -239,3 +241,23 @@ def test_rerank_matches_dense_oracle(world):
         assert e.score == score(e.doc_id, query_terms, base, model)
         in_base = base_rank(base, e.doc_id) is not None
         assert e.origin == ("base_results" if in_base else "term_association")
+
+
+def test_rerank_is_exact_on_a_trained_model():
+    # the dyadic worlds above sum exactly in any order; a trained model's
+    # weights do not, so only score's own order of summation gives its bits
+    docs, intents = make_fixture(300, 13)
+    corpus, model = trained_qc(docs, intents, sessions=80)
+    queries = serve_queries(corpus, model, 500, seed=5)
+    assert sum(len(set(q)) < len(q) for q in queries) > 5  # some repeat a term
+    injected = 0
+    for i, terms in enumerate(queries):
+        base = {"base": base_retrieve(corpus, terms, 100)}
+        k = 10 if i % 2 else 1000  # every other query reranks its whole candidate set
+        out = rerank(RerankRequest(terms, base, model, k))
+        scores = {d: score(d, terms, base, model) for d in candidates(terms, base, model)}
+        expected = sorted(scores, key=lambda d: (-scores[d], base_rank(base, d) or 10**9, d))
+        assert out.doc_ids() == expected[:k]
+        assert [e.score for e in out.entries] == [scores[d] for d in out.doc_ids()]
+        injected += "term_association" in out.origins
+    assert injected > 20
