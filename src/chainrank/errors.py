@@ -9,6 +9,7 @@ TypeError.  Whole-file JSON artifacts are written by `canonical_json`.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 
 
@@ -42,8 +43,13 @@ class StageError(ChainrankError):
 
 
 def canonical_json(value) -> str:
-    """The one text of `value`: sorted keys, no spaces, non-ASCII written as is."""
-    return json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    """The one text of `value`: sorted keys, no spaces, non-ASCII written as is.
+
+    A non-finite float is a ValueError: `json_object` refuses NaN and
+    Infinity, so no artifact may hold them.
+    """
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def json_object(text: str, what: str, version: int | None = None) -> dict:
@@ -120,6 +126,18 @@ def integer(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def number(value) -> int | float:
+    """`value` itself if it is a JSON number (an int, not a bool, or a finite
+    float); a TypeError otherwise.
+
+    `float()` would read "1.0" and true as numbers, and 1e400 parses as an
+    infinity that no writer may write back.
+    """
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return value
+    raise TypeError(f"expected a finite number, got {value!r}")
 
 
 def strings(value) -> list[str]:

@@ -3,10 +3,11 @@
 Stages (index, simulate, chains, prefs, train, rerank, interleave, report)
 are functions `(cfg, store, **kw)`: each reads its inputs from the store by
 artifact name and puts its outputs back.  `run_all` holds their order, index
-to report, once.  Two stores exist.  `DiskStore` keeps artifacts as
-versioned files in the working directory: the CLI runs one stage over it, or
-`run_all` (`chainrank run`).  `MemoryStore` keeps live objects:
-`run_experiment` is `run_all` over it.  Every path runs the same stage
+to report, once.  Two stores exist.  `MemoryStore` keeps live objects:
+`run_experiment` is `run_all` over it.  `DiskStore` is a `MemoryStore` that
+loads what it does not hold from the working directory and writes each `put`
+through, every artifact as a file plus a versioned sidecar: the CLI runs one
+stage over it, or `run_all` (`chainrank run`).  Every path runs the same stage
 bodies, so their reports and models agree byte for byte.
 
 Every stage is deterministic: a rerun with identical inputs reproduces each
@@ -20,6 +21,7 @@ import contextlib
 import logging
 import numbers
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
@@ -27,9 +29,9 @@ from typing import Any, Callable
 import numpy as np
 
 from .chains import DEFAULT_WINDOW_SECONDS, read_chains, segment_log, write_chains
-from .corpus import (BASE_DEPTH, RESULTS_PER_QUERY, Corpus, RankedList, base_retrieve, build_index,
-                     index_from_json, index_to_json, load_documents, tokenize)
-from .errors import DataError, StageError, canonical_json, json_object, malformed
+from .corpus import (BASE_DEPTH, INDEX_VERSION, RESULTS_PER_QUERY, Corpus, RankedList, base_retrieve,
+                     build_index, index_from_json, index_to_json, load_documents, tokenize)
+from .errors import DataError, StageError, canonical_json, integer, json_object, malformed
 from .features import BASE_FN, N_RANK_FEATURES, FeatureSpace, SparseVector, first_threshold
 from .feedback import MODES, Preference, prefs_for_log, read_preferences, strategy_counts, write_preferences
 from .interleave import sign_test
@@ -37,8 +39,8 @@ from .logs import LOG_VERSION, SearchLog, parse_log, write_log
 from .ranking import RerankRequest, rerank
 from .simulate import (Intent, PairEvalResult, UserBehavior, interleaved_evals, read_intents,
                        read_truth, simulate, write_truth)
-from .solver import (DEFAULT_C, DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, DEFAULT_W_MIN, Model,
-                     PreferenceConstraint, fit_model, model_from_json, model_to_json)
+from .solver import (DEFAULT_C, DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, DEFAULT_W_MIN, MODEL_VERSION,
+                     Model, PreferenceConstraint, fit_model, model_from_json, model_to_json)
 
 log = logging.getLogger(__name__)
 
@@ -81,6 +83,9 @@ class ExperimentConfig:
             v = getattr(self, f.name)  # a bool is an Integral, but no field takes one
             if isinstance(v, bool) or not isinstance(v, _SCALAR_TYPES.get(f.type, object)):
                 raise TypeError(f"config field {f.name} must be {f.type}: {v!r}")
+            # JSON's 1e400 reads as inf, and an int past the float range cannot become one
+            if f.type == "float" and not abs(v) <= sys.float_info.max:
+                raise DataError(f"config field {f.name} must be a finite float, got {v}")
         for name in ("sessions", "eval_sessions", "results_per_query", "window_seconds",
                      "C", "w_min", "tolerance", "max_iters"):
             if getattr(self, name) <= 0:
@@ -136,8 +141,9 @@ def _stage_seed(seed: int, stage: str) -> int:
 def _parse_eval(text: str) -> dict:
     raw = json_object(text, "eval artifact", ARTIFACT_VERSION)
     with malformed("eval artifact"):
-        if not all(isinstance(raw[key], int) for key in ("wins_a", "wins_b", "ties", "impressions")):
-            raise TypeError("wins_a, wins_b, ties and impressions must be integers")
+        for key in ("wins_a", "wins_b", "ties", "impressions"):
+            if integer(raw[key]) < 0:
+                raise ValueError(f"{key} must be non-negative, got {raw[key]}")
     return raw
 
 
@@ -150,18 +156,17 @@ class _Format:
     dump: Callable[[Any], str]
     parse: Callable[..., Any]  # artifact text, then the artifacts named in `needs`
     needs: tuple[str, ...] = ()
-    sidecar: bool = True  # a .meta.json next to the file; index and models carry their own version
     version: int = ARTIFACT_VERSION  # the version its sidecar stamps and requires
 
 
 # Keyed by the artifact name up to its first "_": prefs_qc, model_nc, eval_qc_vs_base, ...
 _FORMATS = {
-    "index": _Format(".json", "index", index_to_json, index_from_json, sidecar=False),
+    "index": _Format(".json", "index", index_to_json, index_from_json, version=INDEX_VERSION),
     "log": _Format(".jsonl", "simulate", write_log, parse_log, version=LOG_VERSION),
     "truth": _Format(".jsonl", "simulate", write_truth, read_truth),
     "chains": _Format(".jsonl", "chains", write_chains, read_chains, needs=("log",)),
     "prefs": _Format(".jsonl", "prefs", write_preferences, read_preferences),
-    "model": _Format(".json", "train", model_to_json, model_from_json, sidecar=False),
+    "model": _Format(".json", "train", model_to_json, model_from_json, version=MODEL_VERSION),
     "eval": _Format(".json", "interleave", canonical_json, _parse_eval),
     "report": _Format(".json", "report", canonical_json,
                       lambda text: json_object(text, "report artifact")),
@@ -219,18 +224,20 @@ class MemoryStore(dict):
         self[name] = value
 
 
-class DiskStore:
-    """Artifacts as files in the config's workdir; inputs at the paths it names.
+class DiskStore(MemoryStore):
+    """A MemoryStore that loads a name it does not hold from the config's
+    workdir (inputs from the paths it names), and writes through on `put`.
 
-    Reading an artifact checks that it exists and that its sidecar carries
-    its format's version, then parses it, at most once per store.  Every
+    Every artifact is a file plus a `.meta.json` sidecar of its producing
+    stage and format version.  Loading one checks that both exist and that
+    the sidecar carries the format's version, then parses the file.  Every
     DataError from reading an artifact or input names its file, and an
     OSError from that read is a StageError that names it.
     """
 
     def __init__(self, cfg: ExperimentConfig):
+        super().__init__()
         self.cfg = cfg
-        self._parsed: dict[str, Any] = {}
 
     def _file(self, name: str) -> tuple[_Format, Path, Path]:
         """(format, artifact path, sidecar path) of a named artifact."""
@@ -238,10 +245,9 @@ class DiskStore:
         path = self.cfg.path(name + fmt.suffix)
         return fmt, path, path.with_name(path.name + ".meta.json")
 
-    def __getitem__(self, name: str):
-        if name not in self._parsed:
-            self._parsed[name] = self._load(name)
-        return self._parsed[name]
+    def __missing__(self, name: str):
+        value = self[name] = self._load(name)
+        return value
 
     def _load(self, name: str):
         if name in _INPUTS:
@@ -253,16 +259,13 @@ class DiskStore:
         fmt, path, meta_path = self._file(name)
         if not path.exists():
             raise StageError(f"missing artifact {path}; run the '{fmt.producer}' stage first")
-        if fmt.sidecar:
-            if not meta_path.exists():
-                raise StageError(f"missing sidecar {meta_path}; run the '{fmt.producer}' stage again")
-            meta = _read(meta_path, lambda: json_object(meta_path.read_text(encoding="utf-8"),
-                                                        f"sidecar {meta_path}"))
-            if meta.get("version") != fmt.version:
-                raise StageError(
-                    f"artifact {path} has version {meta.get('version')}, "
-                    f"expected {fmt.version}; refusing to use it"
-                )
+        if not meta_path.exists():
+            raise StageError(f"missing sidecar {meta_path}; run the '{fmt.producer}' stage again")
+        meta = _read(meta_path, lambda: json_object(meta_path.read_text(encoding="utf-8"),
+                                                    f"sidecar {meta_path}"))
+        if meta.get("version") != fmt.version:
+            raise StageError(f"artifact {path} has version {meta.get('version')}, "
+                             f"expected {fmt.version}; refusing to use it")
         upstream = [self[n] for n in fmt.needs]  # their errors name their own files
         return _read(path, lambda: fmt.parse(path.read_text(encoding="utf-8"), *upstream))
 
@@ -273,19 +276,18 @@ class DiskStore:
         the sidecar cannot be renamed into place after the artifact was, the
         new artifact is removed, so the next stage stops on a missing
         artifact instead of reading it under the previous sidecar.  An
-        OSError on the way (say, a workdir that is a file) is a StageError.
+        OSError on the way (say, a workdir that is a file), or a value JSON
+        cannot hold (a non-finite float), is a StageError.
         """
         fmt, path, meta_path = self._file(name)
-        files = [(path, fmt.dump(value))]
-        if fmt.sidecar:
-            files.append((meta_path, canonical_json(
-                {"version": fmt.version, "stage": fmt.producer, **meta})))
         try:
+            files = [(path, fmt.dump(value)), (meta_path, canonical_json(
+                {"version": fmt.version, "stage": fmt.producer, **meta}))]
             path.parent.mkdir(parents=True, exist_ok=True)
             _write_atomic(files)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise StageError(f"cannot write artifact {path}: {exc}") from exc
-        self._parsed[name] = value
+        super().put(name, value)
         log.debug("wrote %s", path)
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, canonical_json, json_object, malformed
+from .errors import DataError, canonical_json, json_object, malformed, number, string
 from .features import BASE_FN, N_RANK_FEATURES, RANK_THRESHOLDS, FeatureSpace, SparseVector
 
 DEFAULT_C = 1.0
@@ -440,10 +440,10 @@ def model_from_json(text: str) -> Model:
         if payload["thresholds"] != list(RANK_THRESHOLDS):  # the rank weights would mean other ranks
             raise DataError(f"malformed model artifact: thresholds must be {list(RANK_THRESHOLDS)}")
         space = FeatureSpace(tuple(payload["base_functions"]))  # refuses all but [BASE_FN]
-        weights = list(payload["rank_weights"][BASE_FN])
+        weights = [number(v) for v in payload["rank_weights"][BASE_FN]]
         for rec in payload["term_doc_weights"]:
-            space.term_doc_id(rec["term"], rec["doc"])
-            weights.append(rec["w"])
+            space.term_doc_id(string(rec["term"]), string(rec["doc"]))
+            weights.append(number(rec["w"]))
         space.freeze()
         return Model(space=space, weights=np.array(weights, dtype=float),
-                     C=float(payload["C"]), w_min=float(payload["w_min"]), meta=payload["meta"])
+                     C=number(payload["C"]), w_min=number(payload["w_min"]), meta=payload["meta"])

@@ -106,7 +106,7 @@ def test_outputs_match_the_golden_manifest(group):
     moved = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
     missing, extra = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
     assert not (moved or missing or extra), f"moved {moved}, missing {missing}, new {extra}"
-    assert len(want) == {"run": 19, "experiment": 9, "serve": 2}[group]
+    assert len(want) == {"run": 22, "experiment": 9, "serve": 2}[group]
 
 
 if __name__ == "__main__":

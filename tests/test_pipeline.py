@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import shutil
 from dataclasses import fields
@@ -33,7 +34,7 @@ from chainrank.pipeline import (
     stage_simulate,
 )
 from chainrank.simulate import PairEvalResult, UserBehavior, simulate, write_intents
-from chainrank.solver import _aggregate, model_to_json
+from chainrank.solver import _aggregate, fresh_model, model_to_json
 from helpers import make_query
 
 
@@ -122,22 +123,25 @@ def test_cli_run_prints_what_report_prints(cfg, capsys):
 
 def test_cli_run_failure_names_the_file_and_stops(cfg, tmp_path, capsys):
     run_stage("index", cfg)
-    index = cfg.path("index.json").read_bytes()
+    index = {name: cfg.path(name).read_bytes() for name in ("index.json", "index.json.meta.json")}
     Path(cfg.intents).write_text(write_intents([]), encoding="utf-8")
     workdir = tmp_path / "run"
     assert cli_main(["run", "--config", str(cfg.config_path), "--workdir", str(workdir)]) == 2
     err = capsys.readouterr().err
     assert f"{cfg.intents}: malformed intent file: it lists no intents" in err
     assert "Traceback" not in err
-    assert workdir_bytes(workdir) == {"index.json": index}  # simulate wrote nothing
+    assert workdir_bytes(workdir) == index  # simulate wrote nothing
 
 
 @pytest.mark.parametrize("field, value", [
     ("results_per_query", BASE_DEPTH + 50), ("noise", 2), ("scan_persistence", -0.1),
-    ("reformulate_prob", 1.5),
+    ("reformulate_prob", 1.5), ("C", math.inf), ("w_min", math.inf), ("tolerance", math.inf),
+    pytest.param("C", 10**400, id="C-10**400"),
 ])
 def test_cli_run_refuses_a_config_field_out_of_range(cfg, tmp_path, capsys, field, value):
     path = with_fields(cfg, tmp_path / "bad.json", **{field: value})
+    # json.dumps writes inf as Infinity, which the reader refuses; 1e400 is a JSON number
+    path.write_text(path.read_text().replace("Infinity", "1e400"))
     assert cli_main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"config field {field} must be" in err and "Traceback" not in err
@@ -478,6 +482,13 @@ def test_failed_sidecar_rename_removes_the_new_artifact(cfg, monkeypatch):
         run_stage("chains", cfg)
 
 
+def test_put_of_a_non_finite_number_is_stage_error(cfg):
+    model = fresh_model(FeatureSpace((BASE_FN,)), C=math.inf)  # JSON has no inf
+    with pytest.raises(StageError, match=r"cannot write artifact .*model_qc\.json: Out of range"):
+        DiskStore(cfg).put("model_qc", model)
+    assert not Path(cfg.workdir).exists()
+
+
 def test_cli_workdir_is_file_exits_2(cfg, tmp_path, capsys):
     workdir = tmp_path / "not-a-dir"
     workdir.write_text("")
@@ -584,6 +595,14 @@ def trained_workdir(tmp_path_factory, small_fixture):
     return cfg_path, root / "out"
 
 
+def _edit_object(edit):
+    def corrupt(text):
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload)
+    return corrupt
+
+
 def _drop_term_doc_weights(text):
     payload = json.loads(text)
     del payload["term_doc_weights"]
@@ -614,9 +633,19 @@ def _drop_first_title(text):
     ("model_qc.json", _drop_term_doc_weights, "model artifact"),
     ("model_qc.json", _foreign_thresholds, "model artifact"),
     ("model_qc.json", _foreign_base_functions, "model artifact"),
+    ("model_qc.json", _edit_object(lambda p: p["term_doc_weights"][0].update(w="2.98e-08")),
+     "model artifact"),
+    ("model_qc.json", _edit_object(lambda p: p["rank_weights"]["base"].__setitem__(0, True)),
+     "model artifact"),
+    ("model_qc.json", _edit_object(lambda p: p.update(C="1.0")), "model artifact"),
+    ("model_qc.json", _edit_object(lambda p: p.update(w_min="0.0")), "model artifact"),
+    ("model_qc.json", _edit_object(lambda p: p["term_doc_weights"][0].update(term=5)),
+     "model artifact"),
     ("index.json", _drop_first_title, "index artifact"),
 ], ids=["truncated-model", "model-without-term-weights", "model-with-foreign-thresholds",
-        "model-with-foreign-base-functions", "index-record-without-title"])
+        "model-with-foreign-base-functions", "model-weight-string", "model-rank-weight-bool",
+        "model-C-string", "model-w_min-string", "model-term-not-string",
+        "index-record-without-title"])
 def test_cli_malformed_artifact_is_data_error(trained_workdir, tmp_path, capsys, artifact,
                                               corrupt, named):
     cfg_path, workdir = trained_workdir
@@ -763,14 +792,6 @@ def _edit_records(edit):
     return corrupt
 
 
-def _edit_object(edit):
-    def corrupt(text):
-        payload = json.loads(text)
-        edit(payload)
-        return json.dumps(payload)
-    return corrupt
-
-
 def _truncate(text):
     return text[: len(text) // 2]
 
@@ -815,6 +836,10 @@ FAULTS = {
     "eval-array": ("out/eval_qc_vs_base.json", lambda text: "[]", ["report"]),
     "eval-no-wins-a": ("out/eval_qc_vs_base.json", _edit_object(lambda p: p.pop("wins_a")),
                        ["report"]),
+    "eval-wins-b-bool": ("out/eval_qc_vs_base.json", _edit_object(lambda p: p.update(wins_b=True)),
+                         ["report"]),
+    "eval-negative-wins-b": ("out/eval_qc_vs_base.json", _edit_object(lambda p: p.update(wins_b=-5)),
+                             ["report"]),
     "eval-wrong-version": ("out/eval_qc_vs_base.json", _edit_object(lambda p: p.update(version=2)),
                            ["report"]),
     "intents-truncated": ("intents.json", _truncate, ["simulate"]),
@@ -844,15 +869,36 @@ def test_cli_corrupt_file_exits_2_naming_it(evaluated_run, tmp_path, capsys, fau
     assert path.name in err, err
 
 
-def test_cli_missing_sidecar_exits_2_naming_it(evaluated_run, tmp_path, capsys):
+@pytest.mark.parametrize("artifact, stage, producer", [
+    ("log.jsonl", ["chains"], "simulate"),
+    ("index.json", ["simulate"], "index"),
+    ("model_qc.json", ["interleave", "--pair", "qc,base"], "train"),
+], ids=["log", "index", "model_qc"])
+def test_cli_missing_sidecar_exits_2_naming_it(evaluated_run, tmp_path, capsys, artifact, stage,
+                                               producer):
     root = tmp_path / "run"
     shutil.copytree(evaluated_run, root)
     _point_config_at(root)
-    sidecar = root / "out" / "log.jsonl.meta.json"
+    sidecar = root / "out" / f"{artifact}.meta.json"
     sidecar.unlink()
     capsys.readouterr()
-    code = cli_main(["chains", "--config", str(root / "experiment.json")])
+    code = cli_main(stage + ["--config", str(root / "experiment.json")])
     err = capsys.readouterr().err
     assert code == 2, err
     assert "Traceback" not in err
-    assert str(sidecar) in err and "'simulate'" in err, err
+    assert f"missing sidecar {sidecar}; run the '{producer}' stage again" in err, err
+
+
+def test_cli_model_of_another_version_exits_2(evaluated_run, tmp_path, capsys):
+    root = tmp_path / "run"
+    shutil.copytree(evaluated_run, root)
+    _point_config_at(root)
+    sidecar = root / "out" / "model_qc.json.meta.json"
+    assert json.loads(sidecar.read_text(encoding="utf-8")) == {"stage": "train", "version": 1}
+    sidecar.write_text(json.dumps({"stage": "train", "version": 2}), encoding="utf-8")
+    capsys.readouterr()
+    code = cli_main(["rerank", "--config", str(root / "experiment.json"), "--query", "sourdough"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert f"{root / 'out' / 'model_qc.json'} has version 2, expected 1" in err, err
