@@ -6,7 +6,7 @@ judgments from clicks, train a hard-constrained pairwise ranking model, and
 compare retrieval functions with balanced interleaving and a sign test.
 """
 
-from .chains import QueryChain, segment_heuristic, segment_log
+from .chains import QueryChain, segment_log
 from .corpus import Corpus, Document, RankedList, base_retrieve, build_index
 from .errors import ChainrankError, DataError, LogParseError, StageError
 from .features import FeatureSpace, SparseVector, phi, phi_rank, phi_terms

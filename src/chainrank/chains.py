@@ -1,9 +1,11 @@
 """Query-chain segmentation by a time window.
 
-Consecutive queries from one session whose gap is at most `window_seconds`
-share a chain; a larger gap starts a new one.  The window is the only
-segmenter.  It is exact whenever intent switches come with gaps above the
-window, as they do at the simulator's `INTENT_GAP_SECONDS`.
+One pass over the log maps each query to its clicks; `segment_log` then
+walks the queries in stream order.  Consecutive queries from one session
+whose gap is at most `window_seconds` share a chain; a larger gap starts a
+new one.  The window is the only segmenter.  It is exact whenever intent
+switches come with gaps above the window, as they do at the simulator's
+`INTENT_GAP_SECONDS`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 
 from .errors import DataError, json_lines, string, strings
-from .logs import ClickEvent, Event, QueryEvent, SearchLog, group_sessions
+from .logs import ClickEvent, QueryEvent, SearchLog
 
 DEFAULT_WINDOW_SECONDS = 1800  # half an hour
 
@@ -36,60 +38,43 @@ class QueryChain:
         return [q.query_id for q in self.queries]
 
 
-def segment_heuristic(
-    session_events: list[Event], window_seconds: int = DEFAULT_WINDOW_SECONDS
-) -> list[QueryChain]:
-    """Split one session's event stream into chains at query gaps > window.
+def _by_query(log: SearchLog) -> dict[str, tuple[QueryEvent, list[ClickEvent]]]:
+    """Each query id's (query event, its clicks in stream order), queries in stream order.
 
-    Every query lands in exactly one chain; a gap larger than the window
-    starts a new chain, so adjacent chains always have a boundary gap above
-    the window (the segmentation is maximal).
+    A click must follow its query in the stream, as `parse_log` requires;
+    one that does not is a KeyError.
     """
-    if window_seconds <= 0:
-        raise DataError(f"window_seconds must be positive, got {window_seconds}")
-    queries = [e for e in session_events if isinstance(e, QueryEvent)]
-    clicks_by_qid = _clicks_by_query(session_events)
-    if not queries:
-        return []
-    sid = queries[0].session_id
-
-    chains: list[QueryChain] = []
-    current: list[QueryEvent] = [queries[0]]
-    for prev, nxt in zip(queries, queries[1:]):
-        if nxt.timestamp - prev.timestamp <= window_seconds:
-            current.append(nxt)
+    by_qid: dict[str, tuple[QueryEvent, list[ClickEvent]]] = {}
+    for e in log.events:
+        if isinstance(e, QueryEvent):
+            by_qid[e.query_id] = (e, [])
         else:
-            chains.append(_make_chain(sid, len(chains), current, clicks_by_qid))
-            current = [nxt]
-    chains.append(_make_chain(sid, len(chains), current, clicks_by_qid))
-    return chains
-
-
-def _clicks_by_query(events: list[Event]) -> dict[str, list[ClickEvent]]:
-    """Each query id's clicks, in stream order."""
-    clicks_by_qid: dict[str, list[ClickEvent]] = {}
-    for e in events:
-        if isinstance(e, ClickEvent):
-            clicks_by_qid.setdefault(e.query_id, []).append(e)
-    return clicks_by_qid
-
-
-def _make_chain(sid, idx, queries, clicks_by_qid) -> QueryChain:
-    return QueryChain(
-        chain_id=f"{sid}-c{idx}",
-        session_id=sid,
-        queries=list(queries),
-        clicks=[clicks_by_qid.get(q.query_id, []) for q in queries],
-    )
+            by_qid[e.query_id][1].append(e)
+    return by_qid
 
 
 def segment_log(log: SearchLog, window_seconds: int = DEFAULT_WINDOW_SECONDS) -> list[QueryChain]:
-    """Segment every session of a log; sessions in sorted order for determinism."""
-    groups = group_sessions(log)
-    chains: list[QueryChain] = []
-    for sid in sorted(groups):
-        chains.extend(segment_heuristic(groups[sid], window_seconds))
-    return chains
+    """Split every session's queries into chains at gaps above the window.
+
+    A session's first query starts its chain `{session}-c0`, and each query
+    more than `window_seconds` after the session's previous query starts the
+    next one; every other query, with its clicks, joins the session's open
+    chain.  So every query lands in exactly one chain, and adjacent chains
+    always have a boundary gap above the window (the segmentation is
+    maximal).  Sessions come out in sorted order, for determinism.
+    """
+    if window_seconds <= 0:
+        raise DataError(f"window_seconds must be positive, got {window_seconds}")
+    sessions: dict[str, list[QueryChain]] = {}
+    for q, clicks in _by_query(log).values():
+        sid = q.session_id
+        chains = sessions.setdefault(sid, [])
+        if chains and q.timestamp - chains[-1].queries[-1].timestamp <= window_seconds:
+            chains[-1].queries.append(q)
+            chains[-1].clicks.append(clicks)
+        else:
+            chains.append(QueryChain(f"{sid}-c{len(chains)}", sid, [q], [clicks]))
+    return [c for sid in sorted(sessions) for c in sessions[sid]]
 
 
 def write_chains(chains: list[QueryChain]) -> str:
@@ -109,8 +94,7 @@ def read_chains(text: str, log: SearchLog) -> list[QueryChain]:
     chain's queries all belong to the session it names; a line that breaks
     one of these raises LogParseError naming it.
     """
-    queries = log.queries()
-    clicks_by_qid = _clicks_by_query(log.events)
+    by_qid = _by_query(log)
     chain_ids: set[str] = set()
     listed: set[str] = set()
 
@@ -120,20 +104,19 @@ def read_chains(text: str, log: SearchLog) -> list[QueryChain]:
         if chain_id in chain_ids:
             raise DataError(f"chain id {chain_id!r} appears twice")
         chain_ids.add(chain_id)
+        queries, clicks = [], []
         for qid in qids:
-            if qid not in queries:
+            entry = by_qid.get(qid)
+            if entry is None:
                 raise DataError(f"unknown query id {qid!r}")
             if qid in listed:
                 raise DataError(f"query id {qid!r} listed twice")
             listed.add(qid)
-            if queries[qid].session_id != session:
+            query, query_clicks = entry
+            if query.session_id != session:
                 raise DataError(f"query {qid!r} is not in session {session!r}")
-        qs = [queries[qid] for qid in qids]
-        return QueryChain(
-            chain_id=chain_id,
-            session_id=session,
-            queries=qs,
-            clicks=[list(clicks_by_qid.get(q.query_id, ())) for q in qs],
-        )
+            queries.append(query)
+            clicks.append(list(query_clicks))  # each query its own list, as from segmentation
+        return QueryChain(chain_id=chain_id, session_id=session, queries=queries, clicks=clicks)
 
     return json_lines(text, record)

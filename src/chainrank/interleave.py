@@ -113,5 +113,8 @@ def sign_test(wins_a: int, wins_b: int) -> float:
     if n == 0:
         return 1.0
     k = max(wins_a, wins_b)
-    tail = sum(math.comb(n, i) for i in range(k, n + 1))
+    tail, term = 0, math.comb(n, k)
+    for i in range(k, n + 1):  # term is C(n, i); one exact step gives C(n, i + 1)
+        tail += term
+        term = term * (n - i) // (i + 1)
     return min(1.0, (2 * tail) / (2 ** n))

@@ -33,8 +33,9 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring  # json.dumps of a str, ensure_ascii=False
 from typing import Callable
 
-from .corpus import RESULTS_PER_QUERY, Corpus, RankedList
-from .errors import DataError, canonical_json, json_lines, json_object, malformed, string, strings
+from .corpus import RESULTS_PER_QUERY, Corpus, RankedList, tokenize
+from .errors import (DataError, canonical_json, json_lines, json_object, malformed, number, string,
+                     strings)
 from .feedback import Preference
 from .interleave import attribute, combine
 from .logs import ClickEvent, QueryEvent, SearchLog
@@ -355,9 +356,22 @@ def write_truth(records: list[TruthRecord]) -> str:
     return "".join(out)
 
 
+def _grades(value) -> dict[str, float]:
+    """`value` itself if it is a JSON object whose values are JSON numbers; a TypeError otherwise.
+
+    `dict()` would also take a list of pairs, and a grade of true would pass
+    the [0, 1] range check and be written back as true.
+    """
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object of grades, got {value!r}")
+    for grade in value.values():
+        number(grade)
+    return value
+
+
 def read_truth(text: str) -> list[TruthRecord]:
     return json_lines(text, lambda rec: TruthRecord(
-        string(rec["qid"]), string(rec["intent"]), dict(rec["relevance"])
+        string(rec["qid"]), string(rec["intent"]), _grades(rec["relevance"])
     ))
 
 
@@ -377,16 +391,30 @@ def write_intents(intents: list[Intent]) -> str:
 
 
 def read_intents(text: str) -> list[Intent]:
+    """The intents of an intents file, as the simulator can use them.
+
+    Intent ids are unique, `relevant_docs` is a JSON object of numbers, and
+    each script query is one or more terms, each one index token
+    (`tokenize(term) == [term]`), since the index holds nothing else; a fault
+    is a DataError naming the intent.
+    """
     payload = json_object(text, "intent file", INTENTS_VERSION)
+    intents: dict[str, Intent] = {}
     with malformed("intent file"):
-        intents = [
-            Intent(
-                intent_id=string(rec["intent_id"]),
-                relevant_docs=dict(rec["relevant_docs"]),
-                query_script=tuple(tuple(strings(q)) for q in rec["query_script"]),
-            )
-            for rec in payload["intents"]
-        ]
+        for rec in payload["intents"]:
+            intent_id = string(rec["intent_id"])
+            if intent_id in intents:
+                raise DataError(f"intent {intent_id!r} is listed twice")
+            with malformed(f"intent {intent_id!r}"):
+                script = tuple(tuple(strings(q)) for q in rec["query_script"])
+                for query in script:
+                    if not query:
+                        raise DataError(f"intent {intent_id!r}: a script query has no terms")
+                    for term in query:
+                        if tokenize(term) != [term]:
+                            raise DataError(f"intent {intent_id!r}: script term {term!r} "
+                                            "is not one index token")
+                intents[intent_id] = Intent(intent_id, _grades(rec["relevant_docs"]), script)
     if not intents:
         raise DataError("malformed intent file: it lists no intents")
-    return intents
+    return list(intents.values())

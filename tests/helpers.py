@@ -119,6 +119,25 @@ def reference_write_chains(chains) -> str:
                    for c in chains)
 
 
+def reference_segment_log(log: SearchLog, window: int) -> list[tuple]:
+    """`segment_log` by its definition, as (chain id, query ids, click lists):
+    each session's queries, sessions in sorted order, cut at every gap above
+    the window; each query carries the clicks that name it, in stream order."""
+    queries = [e for e in log.events if isinstance(e, QueryEvent)]
+    out = []
+    for sid in sorted({q.session_id for q in queries}):
+        mine = [q for q in queries if q.session_id == sid]
+        cuts = [i for i in range(1, len(mine))
+                if mine[i].timestamp - mine[i - 1].timestamp > window]
+        for n, (a, b) in enumerate(zip([0] + cuts, cuts + [len(mine)])):
+            part = mine[a:b]
+            out.append((f"{sid}-c{n}", [q.query_id for q in part],
+                        [[e for e in log.events
+                          if isinstance(e, ClickEvent) and e.query_id == q.query_id]
+                         for q in part]))
+    return out
+
+
 def reference_prefs_for_log(log, chains, mode, padding_pool, seed):
     """`prefs_for_log` without its savings: every chain's generator built up front,
     the pool sorted once per chain by `prefs_cross_query`."""
@@ -306,6 +325,15 @@ def naive_retrieve(index: dict, query_terms: list[str], k: int) -> list[tuple[st
             scores[doc_id] = scores.get(doc_id, 0.0) + q_w * d_w
     scored = [(d, s / index["norms"][d]) for d, s in scores.items()]
     return sorted(scored, key=lambda p: (-p[1], p[0]))[:k]
+
+
+def reference_sign_test(wins_a: int, wins_b: int) -> float:
+    """`sign_test` by its formula: each tail term `math.comb(n, i)` computed on its own."""
+    n = wins_a + wins_b
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, i) for i in range(max(wins_a, wins_b), n + 1))
+    return min(1.0, (2 * tail) / (2 ** n))
 
 
 def interleaved_eval_per_query(ranker_a, ranker_b, intents, behavior, n_sessions, seed,

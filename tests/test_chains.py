@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainrank.chains import read_chains, segment_heuristic, segment_log, write_chains
+from chainrank.chains import read_chains, segment_log, write_chains
 from chainrank.errors import DataError, LogParseError
 from chainrank.logs import SearchLog
-from helpers import make_click, make_query
+from helpers import make_click, make_query, reference_segment_log
 
 
 def queries_at(gaps, session="s1"):
@@ -18,18 +18,18 @@ def queries_at(gaps, session="s1"):
 
 
 def test_two_queries_within_half_hour_share_chain():
-    chains = segment_heuristic(queries_at([600]), window_seconds=1800)
+    chains = segment_log(SearchLog(queries_at([600])), window_seconds=1800)
     assert len(chains) == 1
     assert chains[0].query_ids() == ["q0", "q1"]
 
 
 def test_day_apart_queries_split():
-    chains = segment_heuristic(queries_at([86400]), window_seconds=1800)
+    chains = segment_log(SearchLog(queries_at([86400])), window_seconds=1800)
     assert [c.query_ids() for c in chains] == [["q0"], ["q1"]]
 
 
 def test_single_query_chain():
-    chains = segment_heuristic(queries_at([]), window_seconds=1800)
+    chains = segment_log(SearchLog(queries_at([])), window_seconds=1800)
     assert len(chains) == 1 and chains[0].query_ids() == ["q0"]
 
 
@@ -37,7 +37,7 @@ def test_clicks_attached_to_their_query():
     q0 = make_query("q0", "s", 0, ["a"], ["d1", "d2"])
     q1 = make_query("q1", "s", 100, ["b"], ["d3"])
     c = make_click(q0, 2, 5)
-    chains = segment_heuristic([q0, c, q1])
+    chains = segment_log(SearchLog([q0, c, q1]))
     assert chains[0].clicks[0] == [c]
     assert chains[0].clicks[1] == []
 
@@ -46,7 +46,7 @@ def test_clicks_attached_to_their_query():
 @given(gaps=st.lists(st.integers(1, 5000), max_size=8), window=st.integers(100, 3000))
 def test_segmentation_partition_and_maximality(gaps, window):
     events = queries_at(gaps)
-    chains = segment_heuristic(events, window_seconds=window)
+    chains = segment_log(SearchLog(events), window_seconds=window)
     # partition: concatenating chains reproduces the session's query sequence
     flat = [qid for c in chains for qid in c.query_ids()]
     assert flat == [q.query_id for q in events]
@@ -58,9 +58,47 @@ def test_segmentation_partition_and_maximality(gaps, window):
         assert c2.queries[0].timestamp - c1.queries[-1].timestamp > window
 
 
+@st.composite
+def interleaved_sessions(draw):
+    """1-4 sessions, each a query stream with clicks right after their query and
+    gaps of 0-3600 s, and two interleavings of them that keep each session's order."""
+    sids = draw(st.lists(st.sampled_from(["s10", "s2", "a", "s1", "z0"]), min_size=1,
+                         max_size=4, unique=True))
+    per_session = []
+    for sid in sids:
+        events, t = [], draw(st.integers(0, 10_000))
+        for i in range(draw(st.integers(1, 5))):
+            t += draw(st.integers(0, 3600)) if i else 0
+            q = make_query(f"{sid}q{i}", sid, t, ["w"], [f"d{j}" for j in range(3)])
+            events.append(q)
+            for rank in draw(st.lists(st.integers(1, 3), max_size=3)):
+                events.append(make_click(q, rank, t))
+        per_session.append(events)
+
+    def interleave():
+        cursors, merged = [0] * len(per_session), []
+        while live := [i for i, s in enumerate(per_session) if cursors[i] < len(s)]:
+            i = draw(st.sampled_from(live))
+            merged.append(per_session[i][cursors[i]])
+            cursors[i] += 1
+        return merged
+
+    return interleave(), interleave()
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams=interleaved_sessions(), window=st.integers(1, 3600))
+def test_segment_log_matches_reference_and_ignores_session_interleaving(streams, window):
+    one, other = (segment_log(SearchLog(events), window) for events in streams)
+    assert [(c.chain_id, c.query_ids(), c.clicks) for c in one] == \
+        reference_segment_log(SearchLog(streams[0]), window)
+    assert one == other
+    assert all(c.session_id == c.queries[0].session_id for c in one)
+
+
 def test_invalid_window():
     with pytest.raises(DataError):
-        segment_heuristic(queries_at([]), window_seconds=0)
+        segment_log(SearchLog(queries_at([])), window_seconds=0)
 
 
 def test_chain_round_trip_jsonl():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from chainrank.errors import DataError
 from chainrank.interleave import attribute, combine, sign_test
+from helpers import reference_sign_test
 
 DOCS = [f"d{i}" for i in range(14)]
 
@@ -139,6 +140,12 @@ def test_sign_test_symmetry():
         a, b = int(rng.integers(0, 40)), int(rng.integers(0, 40))
         assert sign_test(a, b) == sign_test(b, a)
         assert 0.0 <= sign_test(a, b) <= 1.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.integers(0, 499), b=st.integers(0, 499))
+def test_sign_test_equals_its_formula(a, b):
+    assert sign_test(a, b) == reference_sign_test(a, b)
 
 
 def test_sign_test_rejects_negative():

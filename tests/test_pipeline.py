@@ -792,6 +792,11 @@ def _edit_records(edit):
     return corrupt
 
 
+def _edit_intents(edit):
+    """Apply edit(intents) to the list of intent records of an intents file."""
+    return _edit_object(lambda payload: edit(payload["intents"]))
+
+
 def _truncate(text):
     return text[: len(text) // 2]
 
@@ -844,6 +849,14 @@ FAULTS = {
                            ["report"]),
     "intents-truncated": ("intents.json", _truncate, ["simulate"]),
     "intents-array": ("intents.json", lambda text: "[]", ["simulate"]),
+    "intents-grade-bool": ("intents.json", _edit_intents(lambda its: its[0].update(
+        relevant_docs=dict.fromkeys(its[0]["relevant_docs"], True))), ["simulate"]),
+    "intents-docs-list": ("intents.json", _edit_intents(lambda its: its[0].update(
+        relevant_docs=list(its[0]["relevant_docs"].items()))), ["simulate"]),
+    "intents-duplicate-id": ("intents.json", _edit_intents(lambda its: its[1].update(
+        intent_id=its[0]["intent_id"])), ["simulate"]),
+    "intents-term-not-a-token": ("intents.json", _edit_intents(lambda its: its[0].update(
+        query_script=[["Spectrograf"]] + its[0]["query_script"])), ["simulate"]),
     "corpus-title-not-string": ("corpus.jsonl", _edit_record(2, lambda r: r.update(title=5)),
                                 ["index"]),
     "corpus-array-line": ("corpus.jsonl", _edit_line(2, lambda line: "[1]"), ["index"]),

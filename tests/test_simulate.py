@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -402,3 +404,36 @@ def test_intent_validation():
         Intent("bad", {"d": 2.0}, (("q",),))
     with pytest.raises(DataError):
         Intent("bad", {}, ())
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda its: its[0].update(relevant_docs={"d1": True}),
+     "malformed intent 'i0': TypeError expected a finite number, got True"),
+    (lambda its: its[0].update(relevant_docs=[["d1", 1.0]]),
+     "malformed intent 'i0': TypeError expected a JSON object of grades"),
+    (lambda its: its[1].update(intent_id="i0"), "intent 'i0' is listed twice"),
+    (lambda its: its[1].update(query_script=[["ok"], ["Spectrograf"]]),
+     "intent 'i1': script term 'Spectrograf' is not one index token"),
+    (lambda its: its[1].update(query_script=[["two words"]]),
+     "intent 'i1': script term 'two words' is not one index token"),
+    (lambda its: its[1].update(query_script=[[""]]),
+     "intent 'i1': script term '' is not one index token"),
+    (lambda its: its[1].update(query_script=[["b"], []]),
+     "intent 'i1': a script query has no terms"),
+], ids=["grade-bool", "docs-list", "duplicate-id", "capitalised-term", "two-word-term",
+        "empty-term", "empty-query"])
+def test_read_intents_refuses_what_the_simulator_cannot_use(edit, message):
+    intents = [Intent("i0", {"d1": 1.0}, (("a1",),)), Intent("i1", {"d2": 0.5}, (("b", "c"),))]
+    assert read_intents(write_intents(intents)) == intents
+    payload = json.loads(write_intents(intents))
+    edit(payload["intents"])
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_intents(json.dumps(payload))
+
+
+@pytest.mark.parametrize("relevance", ['{"d1":true}', '[["d1",1.0]]', '{"d1":"1"}'])
+def test_read_truth_refuses_grades_that_are_not_numbers(relevance):
+    assert read_truth('{"qid":"q","intent":"i","relevance":{"d1":1.0}}\n')[0].relevance == \
+        {"d1": 1.0}
+    with pytest.raises(DataError, match="^line 1: bad record: TypeError expected a"):
+        read_truth(f'{{"qid":"q","intent":"i","relevance":{relevance}}}\n')
