@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from chainrank.corpus import Document
+from chainrank.features import SparseVector
 from chainrank.feedback import prefs_cross_query, prefs_within_query
 from chainrank.fixtures import _FILLER, _TOPICS
 from chainrank.interleave import attribute, combine
@@ -19,6 +20,7 @@ from chainrank.pipeline import (ExperimentConfig, MemoryStore, stage_chains, sta
                                 stage_prefs, stage_simulate, stage_train)
 from chainrank.simulate import (INTENT_GAP_SECONDS, REFORMULATE_GAP_SECONDS, SESSION_GAP_SECONDS,
                                 Intent, PairEvalResult, TruthRecord, scan_and_click)
+from chainrank.solver import PreferenceConstraint
 
 
 def make_query(qid, session, t, terms, docs):
@@ -278,6 +280,39 @@ def dual_ascent_dense(
     primal = 0.5 * w @ w + C * np.maximum(0.0, 1.0 - deltas @ w).sum()
     dual = alpha.sum() + w_min * beta.sum() - 0.5 * w @ w
     return w, float(primal - dual)
+
+
+def block_instance(rng):
+    """Rows over a shared bounded block plus one of several blocks of free dims.
+
+    The free blocks are disjoint, so with the bounded block held the rows
+    fall into several components; rows with only bounded entries have no
+    free feature, and a few rows repeat.  Small w_min and large C push some bounded dims above
+    their bound.
+    """
+    n_bounded = int(rng.integers(1, 4))
+    blocks, dim = [], n_bounded
+    for _ in range(int(rng.integers(2, 5))):
+        size = int(rng.integers(1, 4))
+        blocks.append(range(dim, dim + size))
+        dim += size
+    cons = []
+    for _ in range(int(rng.integers(4, 16))):
+        items = {}
+        if rng.random() < 0.85:
+            for j in blocks[int(rng.integers(len(blocks)))]:
+                if rng.random() < 0.7:
+                    items[j] = float(rng.normal())
+        for d in range(n_bounded):
+            if rng.random() < 0.4:
+                items[d] = float(rng.choice([-1.0, 1.0, 2.0]))
+        if not items:
+            items[int(rng.integers(dim))] = 1.0
+        cons.append(PreferenceConstraint(SparseVector.from_items(items)))
+    cons += [cons[int(rng.integers(len(cons)))] for _ in range(int(rng.integers(0, 3)))]
+    C = float(rng.choice([0.3, 1.0, 3.0]))
+    w_min = float(rng.choice([0.0, 0.25, 1.0]))
+    return cons, C, w_min, tuple(range(n_bounded)), dim
 
 
 def split_tokenize(text: str) -> list[str]:

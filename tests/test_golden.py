@@ -1,6 +1,6 @@
 """Golden digests: the sha256 of what the program writes and serves, pinned.
 
-`golden.json` holds one digest per output, in three groups:
+`golden.json` holds one digest per output, in four groups:
 
 - `run/<file>`: each file `chainrank run` writes for the config of
   `test_pipeline.py` (fixture of 300 documents, seed 11, 80/40 sessions);
@@ -8,7 +8,13 @@
   JSON at the first three seeds of the `experiment` benchmark op;
 - `serve/...`: `base_retrieve` at depth 100 and `rerank` to 10 of a fixed
   trained qc model, over a seeded pool of fixture queries; each list is
-  hashed as its ids, `float.hex` scores and origins.
+  hashed as its ids, `float.hex` scores and origins;
+- `solver/block_instances`: `train_ranking` on seeded `block_instance`
+  problems, some at a negative w_min, under sweep budgets of 1, 2, 5 and
+  10,000; each solve is hashed as its weight bytes, `float.hex` gap and
+  objective, iterations, rounds, components, converged and violations.
+  Many of them release a bounded dim, a path the program's own runs
+  never take.
 
 A change that moves output on purpose rewrites the manifest in the same
 commit (`PYTHONPATH=src:tests python tests/test_golden.py`) and says why;
@@ -23,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +40,13 @@ from chainrank.fixtures import documents_to_jsonl, make_fixture
 from chainrank.pipeline import BASE_FN, ExperimentConfig, run_experiment, run_stage
 from chainrank.ranking import RerankRequest, rerank
 from chainrank.simulate import UserBehavior, write_intents
-from chainrank.solver import model_to_json
-from helpers import serve_queries, trained_qc
+from chainrank.solver import model_to_json, train_ranking
+from helpers import block_instance, serve_queries, trained_qc
 
 MANIFEST = Path(__file__).with_name("golden.json")
-GROUPS = ("run", "experiment", "serve")
+GROUPS = ("run", "experiment", "serve", "solver")
 SERVE_QUERIES, SERVE_SEED = 2000, 1
+SOLVES, SOLVER_SEED = 300, 5
 
 
 def sha256(data: bytes) -> str:
@@ -95,7 +103,26 @@ def serve_digests() -> dict[str, str]:
     return {"serve/base_retrieve": retrieved.hexdigest(), "serve/rerank": reranked.hexdigest()}
 
 
-DIGESTS = {"run": run_digests, "experiment": experiment_digests, "serve": serve_digests}
+def solver_digests() -> dict[str, str]:
+    rng, digest, released = np.random.default_rng(SOLVER_SEED), hashlib.sha256(), 0
+    for i in range(SOLVES):
+        cons, C, w_min, bounded, dim = block_instance(rng)
+        if i % 3 == 2:
+            w_min = -0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the small budgets stop short
+            sol = train_ranking(cons, C=C, w_min=w_min, bounded_dims=bounded, dim=dim,
+                                max_iters=(1, 2, 5, 10_000)[i % 4])
+        digest.update(sol.weights.tobytes())
+        digest.update(f"{sol.gap.hex()} {sol.objective.hex()} {sol.iterations} {sol.rounds} "
+                      f"{sol.components} {sol.converged} {sol.violations}\n".encode("utf-8"))
+        released += sol.rounds >= 2
+    assert released >= SOLVES // 5  # the digest covers the release path
+    return {"solver/block_instances": digest.hexdigest()}
+
+
+DIGESTS = {"run": run_digests, "experiment": experiment_digests, "serve": serve_digests,
+           "solver": solver_digests}
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -106,7 +133,7 @@ def test_outputs_match_the_golden_manifest(group):
     moved = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
     missing, extra = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
     assert not (moved or missing or extra), f"moved {moved}, missing {missing}, new {extra}"
-    assert len(want) == {"run": 22, "experiment": 9, "serve": 2}[group]
+    assert len(want) == {"run": 22, "experiment": 9, "serve": 2, "solver": 1}[group]
 
 
 if __name__ == "__main__":

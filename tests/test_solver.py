@@ -18,7 +18,7 @@ from chainrank.solver import (
     subgradient,
     train_ranking,
 )
-from helpers import densify, dual_ascent_dense, grid_minimize_hinge
+from helpers import block_instance, densify, dual_ascent_dense, grid_minimize_hinge
 
 
 def sv(items):
@@ -313,39 +313,6 @@ def test_duality_gap_certifies_convergence():
 def test_fit_model_records_gap():
     model = _small_model()
     assert -1e-12 <= model.meta["gap"] < 1e-6
-
-
-def block_instance(rng):
-    """Rows over a shared bounded block plus one of several blocks of free dims.
-
-    The free blocks are disjoint, so with the bounded block held the rows
-    fall into several components; rows with only bounded entries have no
-    free feature, and a few rows repeat.  Small w_min and large C push some bounded dims above
-    their bound.
-    """
-    n_bounded = int(rng.integers(1, 4))
-    blocks, dim = [], n_bounded
-    for _ in range(int(rng.integers(2, 5))):
-        size = int(rng.integers(1, 4))
-        blocks.append(range(dim, dim + size))
-        dim += size
-    cons = []
-    for _ in range(int(rng.integers(4, 16))):
-        items = {}
-        if rng.random() < 0.85:
-            for j in blocks[int(rng.integers(len(blocks)))]:
-                if rng.random() < 0.7:
-                    items[j] = float(rng.normal())
-        for d in range(n_bounded):
-            if rng.random() < 0.4:
-                items[d] = float(rng.choice([-1.0, 1.0, 2.0]))
-        if not items:
-            items[int(rng.integers(dim))] = 1.0
-        cons.append(PreferenceConstraint(sv(items)))
-    cons += [cons[int(rng.integers(len(cons)))] for _ in range(int(rng.integers(0, 3)))]
-    C = float(rng.choice([0.3, 1.0, 3.0]))
-    w_min = float(rng.choice([0.0, 0.25, 1.0]))
-    return cons, C, w_min, tuple(range(n_bounded)), dim
 
 
 def test_decomposed_solve_matches_dense_dual_ascent():
