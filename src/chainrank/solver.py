@@ -10,26 +10,27 @@ non-preferred document for the same query, so `w . delta_i >= 1` means the
 preference is satisfied with margin.
 
 The minimizer runs deterministic dual coordinate ascent (Hsieh et al., 2008)
-with a fixed sweep order: each preference constraint owns a dual variable in
-[0, C] and each bounded dimension a nonnegative multiplier.  Coordinate steps
-are exact, so small instances solve to machine precision; duplicate
-constraints are aggregated into one dual variable with upper bound
+with a fixed sweep order over one kind of dual variable: each row owns an
+alpha in a box [0, ub].  A preference constraint is a row with target 1 and
+ub C; each bound w_j >= w_min is one more row, the unit column of j with
+target w_min and ub infinity, whose alpha is the bound's multiplier.
+Coordinate steps are exact, so small instances solve to machine precision;
+duplicate constraints are aggregated into one row with upper bound
 (count * C), which leaves the objective unchanged.
 
 The sweep runs on the problem's structure, as decomposition SVM solvers do
 (Joachims, 1999).  Every bounded dimension starts held at w_min and its share
-of each row moves into that row's margin offset.  Without the held dims the
-rows fall into connected components over their remaining feature ids; each
-is swept on its own, in order of its smallest row index, and rows with no
-free feature get their dual variable in closed form.  A held dim d whose
-(D^T alpha)_d exceeds w_min violates its bound's optimality condition, so it
-is released into the sweep with its multiplier, which merges the components
-it touches, and the rows are solved again.  The sweep runs over native
-Python lists built once per round, since each row has only a handful of
-nonzeros; objective, violations and the relative primal-dual gap of the full
-problem are then computed with numpy, and the gap is recorded as
-`meta["gap"]` on every trained model.  `fit_model` is the one entry point
-the pipeline trains through.
+of each row moves into that row's target.  Without the held dims the rows
+fall into connected components over their remaining feature ids; each is
+swept on its own, in order of its smallest row index, and rows with no free
+feature get their alpha in closed form.  A held dim d whose (D^T alpha)_d
+exceeds w_min violates its bound's optimality condition, so it is released:
+its bound row joins the component of the rows that share d, and the rows
+are solved again.  The sweep runs over native Python lists built once per
+round, since each row has only a handful of nonzeros; objective, violations
+and the relative primal-dual gap of the full problem are then computed with
+numpy, and the gap is recorded as `meta["gap"]` on every trained model.
+`fit_model` is the one entry point the pipeline trains through.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class RankingSolution:
     converged: bool
     gap: float  # relative primal-dual gap (P - D) / max(1, |P|) at return
     rounds: int  # active-set rounds: 1 + the number of times held dims were released
-    components: int  # connected components swept in the last round
+    components: int  # components with a constraint row swept in the last round
 
 
 def objective(w: np.ndarray, constraints: list[PreferenceConstraint], C: float) -> float:
@@ -129,14 +130,14 @@ def _aggregate(constraints: list[PreferenceConstraint], dim: int):
     return rows, list(counts.values()), n_zero
 
 
-def _split(row_pairs, ub, held, released, w_min):
+def _split(rows, ub, base, held, w_min):
     """Group the rows into connected components over their free feature ids.
 
     A row is (index, free (id, value) pairs, upper bound, 1/|free part|^2,
-    1 - its margin from the held dims).  Two rows are connected when they
-    share a free feature.  Components come in order of their smallest row
-    index, rows in index order, each with the released dims it touches.
-    Rows with no free feature are returned apart as (index, target).
+    its base target minus its margin from the held dims).  Two rows are
+    connected when they share a free feature.  Components are row lists in
+    order of their smallest row index, rows in index order.  Rows with no
+    free feature are returned apart as (index, target).
     """
     parent: dict[int, int] = {}
 
@@ -146,10 +147,10 @@ def _split(row_pairs, ub, held, released, w_min):
             j = parent[j]
         return j
 
-    rows, closed = [], []
-    for i, pairs in enumerate(row_pairs):
+    free_rows, closed = [], []
+    for i, pairs in enumerate(rows):
         free = tuple((j, v) for j, v in pairs if j not in held)
-        target = 1.0 - w_min * sum(v for j, v in pairs if j in held)
+        target = base[i] - w_min * sum(v for j, v in pairs if j in held)
         if not free:
             closed.append((i, target))
             continue
@@ -160,23 +161,19 @@ def _split(row_pairs, ub, held, released, w_min):
             other = find(j)
             if other != root:
                 parent[other] = root
-        rows.append((i, free, ub[i], 1.0 / sum(v * v for _, v in free), target))
-    components: dict[int, tuple[list, list]] = {}
-    for row in rows:
-        components.setdefault(find(row[1][0][0]), ([], []))[0].append(row)
-    for d in released:
-        if d in parent:  # a released dim no row touches keeps beta = 0
-            components[find(d)][1].append(d)
+        free_rows.append((i, free, ub[i], 1.0 / sum(v * v for _, v in free), target))
+    components: dict[int, list] = {}
+    for row in free_rows:
+        components.setdefault(find(row[1][0][0]), []).append(row)
     return list(components.values()), closed
 
 
-def _sweep(rows, dims, w, alpha, beta, w_min, tolerance, max_iters) -> tuple[int, bool]:
+def _sweep(rows, w, alpha, tolerance, max_iters) -> tuple[int, bool]:
     """Dual coordinate ascent on one component until max |pg| < tolerance.
 
-    Each sweep takes an exact clipped step on every row's alpha in [0, ub],
-    then on the multiplier beta of every released bounded dim.  Runs on
-    Python lists: rows hold a handful of nonzeros, too few for numpy's
-    per-call overhead to pay off.  Returns (sweeps, tolerance met).
+    Each sweep takes an exact clipped step on every row's alpha in [0, ub].
+    Runs on Python lists: rows hold a handful of nonzeros, too few for
+    numpy's per-call overhead to pay off.  Returns (sweeps, tolerance met).
     """
     for sweeps in range(1, max_iters + 1):
         max_pg = 0.0
@@ -211,15 +208,6 @@ def _sweep(rows, dims, w, alpha, beta, w_min, tolerance, max_iters) -> tuple[int
                 for j, v in pairs:
                     w[j] += step * v
                 alpha[i] = new_a
-        for d in dims:
-            b = beta[d]
-            g = w[d] - w_min
-            pg = min(g, 0.0) if b <= 0.0 else g
-            max_pg = max(max_pg, abs(pg))
-            new_b = max(0.0, b - g)
-            if new_b != b:
-                w[d] += new_b - b
-                beta[d] = new_b
         if max_pg < tolerance:
             return sweeps, True
     return max_iters, False
@@ -258,7 +246,11 @@ def train_ranking(
 
     row_pairs, counts, n_zero = _aggregate(constraints, dim)
     n = len(row_pairs)
-    ub = [float(c) * C for c in counts]
+    # The bound w_d >= w_min is one more row: the unit column of d, target
+    # w_min, box [0, inf).  Its alpha at index n + k is the multiplier beta_d.
+    rows = row_pairs + [((d, 1.0),) for d in bounded]
+    ub = [float(c) * C for c in counts] + [float("inf")] * len(bounded)
+    base = [1.0] * n + [w_min] * len(bounded)
 
     # Active set: every bounded dim starts held at w_min.  A held dim whose
     # (D^T alpha)_d exceeds w_min would need beta_d < 0, so it is released
@@ -267,22 +259,22 @@ def train_ranking(
     # rounds share one budget of max_iters sweeps.  A round counts the sweeps
     # of its slowest component, and at least one: it always passes over the
     # rows to set the closed-form alphas and to check the held dims.
-    alpha = [0.0] * n
-    beta = dict.fromkeys(bounded, 0.0)
+    alpha = [0.0] * len(rows)
     held = set(bounded)
-    w = [0.0] * dim  # D^T alpha + beta off the held dims, w_min on them
+    w = [0.0] * dim  # D^T alpha off the held dims, w_min on them
     for d in bounded:
         w[d] = w_min
     rounds = iterations = 0
     while True:
         rounds += 1
-        released = [d for d in bounded if d not in held]
-        components, closed = _split(row_pairs, ub, held, released, w_min)
-        for i, target in closed:  # margin fixed by the held dims: alpha is 0 or its bound
+        components, closed = _split(rows, ub, base, held, w_min)
+        # margin fixed by the held dims: alpha is 0 or its bound.  A held
+        # bound row has target exactly 0, so its beta stays 0 until the end.
+        for i, target in closed:
             alpha[i] = ub[i] if target > 0.0 else 0.0
         budget, slowest, met = max_iters - iterations, 0, True
-        for rows, dims in components:
-            sweeps, ok = _sweep(rows, dims, w, alpha, beta, w_min, tolerance, budget)
+        for component in components:
+            sweeps, ok = _sweep(component, w, alpha, tolerance, budget)
             slowest, met = max(slowest, sweeps), met and ok
         iterations += max(slowest, 1)
         u = dict.fromkeys(sorted(held), 0.0)
@@ -298,8 +290,9 @@ def train_ranking(
             w[d] = u[d]
         held.difference_update(violating)
     converged = met and not violating
-    for d in held:  # clipped, so the dual point stays feasible if the budget ran out
-        beta[d] = max(0.0, w_min - u[d])
+    for k, d in enumerate(bounded):  # clipped, so the dual point stays feasible if the budget ran out
+        if d in held:
+            alpha[n + k] = max(0.0, w_min - u[d])
 
     w = np.array(w, dtype=float)
     free = np.ones(dim, dtype=bool)
@@ -313,22 +306,20 @@ def train_ranking(
         )
 
     # Objective, violations and duality gap of the full problem over the
-    # aggregated rows.  Each dropped zero-delta constraint still costs hinge 1
-    # and one violation.  P = 0.5|w|^2 + C sum count_i hinge_i;  D = sum alpha
-    # + w_min sum beta - 0.5|D^T alpha + beta|^2, with beta placed on the
-    # bounded dims (w_min - (D^T alpha)_d for a held dim).
-    indices = np.array([j for pairs in row_pairs for j, _ in pairs], dtype=np.int64)
-    data = np.array([v for pairs in row_pairs for _, v in pairs], dtype=float)
-    row_of = np.repeat(np.arange(n), np.array([len(pairs) for pairs in row_pairs], dtype=np.int64))
+    # aggregated rows, bound rows last.  Each dropped zero-delta constraint
+    # still costs hinge 1 and one violation.  P = 0.5|w|^2 + C sum count_i
+    # hinge_i over the constraint rows;  D = sum alpha + w_min sum beta -
+    # 0.5|D^T alpha + beta|^2 (beta = w_min - (D^T alpha)_d for a held dim).
+    indices = np.array([j for pairs in rows for j, _ in pairs], dtype=np.int64)
+    data = np.array([v for pairs in rows for _, v in pairs], dtype=float)
+    row_of = np.repeat(np.arange(len(rows)), np.array([len(pairs) for pairs in rows], dtype=np.int64))
     counts_v = np.array(counts, dtype=float)
-    margins = np.bincount(row_of, weights=data * w[indices], minlength=n)
+    margins = np.bincount(row_of, weights=data * w[indices], minlength=len(rows))[:n]
     hinge = np.maximum(0.0, 1.0 - margins)
     primal = 0.5 * float(w @ w) + C * float(counts_v @ hinge)
     alpha_v = np.array(alpha, dtype=float)
-    beta_v = np.array([beta[d] for d in bounded], dtype=float)
     v = np.bincount(indices, weights=data * alpha_v[row_of], minlength=dim).astype(float)
-    v[bounded] += beta_v
-    dual = float(alpha_v.sum()) + w_min * float(beta_v.sum()) - 0.5 * float(v @ v)
+    dual = float(alpha_v[:n].sum()) + w_min * float(alpha_v[n:].sum()) - 0.5 * float(v @ v)
     return RankingSolution(
         weights=w,
         iterations=iterations,
@@ -337,7 +328,7 @@ def train_ranking(
         converged=converged,
         gap=(primal - dual) / max(1.0, abs(primal)),
         rounds=rounds,
-        components=len(components),
+        components=sum(component[0][0] < n for component in components),
     )
 
 
@@ -396,16 +387,8 @@ def fit_model(
         tolerance=tolerance,
         max_iters=max_iters,
     )
-    meta = {
-        "iterations": sol.iterations,
-        "objective": sol.objective,
-        "violations": sol.violations,
-        "converged": sol.converged,
-        "gap": sol.gap,
-        "rounds": sol.rounds,
-        "components": sol.components,
-        "n_constraints": len(constraints),
-    }
+    meta = {k: v for k, v in vars(sol).items() if k != "weights"}
+    meta["n_constraints"] = len(constraints)
     return Model(space=space, weights=sol.weights, C=C, w_min=w_min, meta=meta)
 
 
