@@ -444,7 +444,12 @@ def stage_prefs(cfg: ExperimentConfig, store, mode: str = "qc") -> None:
 def stage_train(cfg: ExperimentConfig, store, mode: str = "qc") -> None:
     searchlog, prefs = store["log"], store[f"prefs_{mode}"]
     space = FeatureSpace((BASE_FN,))
-    model = fit_model(space, build_constraints(prefs, searchlog, space), C=cfg.C,
+    try:
+        constraints = build_constraints(prefs, searchlog, space)
+    except DataError as exc:  # preferences mined from another log
+        raise StageError(f"{cfg.path(f'prefs_{mode}.jsonl')}: {exc}, which "
+                         f"{cfg.path('log.jsonl')} lacks; run the 'prefs' stage again") from exc
+    model = fit_model(space, constraints, C=cfg.C,
                       w_min=cfg.w_min, tolerance=cfg.tolerance, max_iters=cfg.max_iters)
     store.put(f"model_{mode}", model)
     log.info("trained %s model (%s constraints)", mode, model.meta.get("n_constraints"))

@@ -1,9 +1,11 @@
 """Per-session and per-chain random streams, built with less work per stream.
 
 `session_streams(seed, n)` yields, for each session s in range(n), a
-generator in the state of `np.random.default_rng([seed, s])`.  It computes
-numpy's seeding of those states for many sessions at once, as uint32 array
-operations, and re-seeds one generator with each.  A stream built once,
+generator in the state of `np.random.default_rng([seed, s])`.  For a seed
+of one uint32 word, which every stage's seed is, it computes numpy's
+seeding of those states for many sessions at once, as uint32 array
+operations, and re-seeds one generator with each; any other seed is
+seeded by numpy, one session at a time.  A stream built once,
 such as a preference chain's padding draws, is a plain
 `np.random.default_rng([a, b])`.  `SharedUniforms` hands out a generator's
 `random()` draws from a list it extends a block at a time, and several
@@ -29,7 +31,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _SHIFT = 16
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-_ONE_WORD = 2**32  # session indices below this are one uint32 word
+_ONE_WORD = 2**32  # seeds and session indices below this are one uint32 word
 
 CHUNK = 256  # sessions seeded per array pass: memory stays flat in n
 
@@ -38,16 +40,6 @@ class Uniforms(Protocol):
     """Anything with `random()`: a uniform draw from [0, 1)."""
 
     def random(self) -> float: ...
-
-
-def _words(value: int) -> list[int]:
-    """numpy's uint32 words of a non-negative int: least significant first, 0 as one word."""
-    words = [value & _WORD]
-    value >>= 32
-    while value:
-        words.append(value & _WORD)
-        value >>= 32
-    return words
 
 
 def _hash_steps(value: int, multiplier: int) -> Iterator[tuple[int, int]]:
@@ -72,24 +64,21 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> _SHIFT)
 
 
-def _pcg64_states(words: list[int], sessions: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) after seeding from `SeedSequence(words + [s])`,
-    for each s of the uint32 array `sessions`.
+def _pcg64_states(seed: int, sessions: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) after seeding from `SeedSequence([seed, s])`,
+    for the uint32 `seed` and each s of the uint32 array `sessions`.
 
     Each pool word is a uint32 array with one entry per session, so its
     arithmetic wraps as numpy's does.
     """
-    entropy = [np.full(sessions.shape, w, dtype=np.uint32) for w in words] + [sessions]
-    entropy += [np.zeros_like(sessions)] * (_POOL - len(entropy))  # the pool pads with 0
+    zero = np.zeros_like(sessions)  # two entropy words: the pool pads with 0
+    entropy = [np.full(sessions.shape, seed, dtype=np.uint32), sessions, zero, zero]
     steps = _hash_steps(_INIT_A, _MULT_A)
-    pool = [_hash(entropy[i], steps) for i in range(_POOL)]
+    pool = [_hash(value, steps) for value in entropy]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], steps))
-    for value in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hash(value, steps))
     # generate_state(4, np.uint64): eight words, paired low word first
     steps = _hash_steps(_INIT_B, _MULT_B)
     out = [_hash(pool[i % _POOL], steps).astype(np.uint64) for i in range(2 * _POOL)]
@@ -107,25 +96,23 @@ def _pcg64_states(words: list[int], sessions: np.ndarray) -> list[tuple[int, int
 def session_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
     """For each s in range(n), a generator in the state of `np.random.default_rng([seed, s])`.
 
-    Every item is the same Generator, re-seeded, so a stream is only good
-    until the next one is taken.  The Generator belongs to this call, so
-    iterators advanced side by side stay independent.  A negative seed goes
-    to `np.random.default_rng([seed, s])`, so it fails as numpy fails.
+    Every item seeded by array is the same Generator, re-seeded, so a
+    stream is only good until the next one is taken.  The Generator belongs
+    to this call, so iterators advanced side by side stay independent.  A
+    seed or session index that is not one uint32 word goes to
+    `np.random.default_rng([seed, s])`, so a negative seed fails as numpy
+    fails.
     """
-    if seed < 0:
-        for s in range(n):
-            yield np.random.default_rng([seed, s])
-        return
-    words = _words(seed)
+    by_array = min(n, _ONE_WORD) if 0 <= seed < _ONE_WORD else 0
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    for start in range(0, min(n, _ONE_WORD), CHUNK):
-        sessions = np.arange(start, min(start + CHUNK, n, _ONE_WORD), dtype=np.uint32)
-        for state, inc in _pcg64_states(words, sessions):
+    for start in range(0, by_array, CHUNK):
+        sessions = np.arange(start, min(start + CHUNK, by_array), dtype=np.uint32)
+        for state, inc in _pcg64_states(seed, sessions):
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
             yield rng
-    for s in range(_ONE_WORD, n):  # a two-word index: seeded one session at a time
+    for s in range(by_array, n):
         yield np.random.default_rng([seed, s])
 
 

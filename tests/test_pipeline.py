@@ -641,11 +641,12 @@ def _drop_first_title(text):
     ("model_qc.json", _edit_object(lambda p: p.update(w_min="0.0")), "model artifact"),
     ("model_qc.json", _edit_object(lambda p: p["term_doc_weights"][0].update(term=5)),
      "model artifact"),
+    ("model_qc.json", _edit_object(lambda p: p["rank_weights"]["base"].pop()), "weight dim"),
     ("index.json", _drop_first_title, "index artifact"),
 ], ids=["truncated-model", "model-without-term-weights", "model-with-foreign-thresholds",
         "model-with-foreign-base-functions", "model-weight-string", "model-rank-weight-bool",
         "model-C-string", "model-w_min-string", "model-term-not-string",
-        "index-record-without-title"])
+        "model-rank-weight-missing", "index-record-without-title"])
 def test_cli_malformed_artifact_is_data_error(trained_workdir, tmp_path, capsys, artifact,
                                               corrupt, named):
     cfg_path, workdir = trained_workdir
@@ -664,7 +665,7 @@ def test_cli_malformed_artifact_is_data_error(trained_workdir, tmp_path, capsys,
 def test_cli_rerank_rejects_k_below_one(trained_workdir, capsys):
     cfg_path, _ = trained_workdir
     capsys.readouterr()
-    for k in ("0", "-3"):
+    for k in ("0", "-3", "abc"):
         assert cli_main(["rerank", "--config", str(cfg_path), "--query", "sourdough",
                          "--k", k]) == 1
         err = capsys.readouterr().err
@@ -797,6 +798,15 @@ def _edit_intents(edit):
     return _edit_object(lambda payload: edit(payload["intents"]))
 
 
+def _edit_first_click(rank):
+    """Set the first click's rank to rank(the number of results its query shows)."""
+    def edit(records):
+        shown = {r["qid"]: len(r["results"]) for r in records if r["type"] == "query"}
+        click = next(r for r in records if r["type"] == "click")
+        click["rank"] = rank(shown[click["qid"]])
+    return _edit_records(edit)
+
+
 def _truncate(text):
     return text[: len(text) // 2]
 
@@ -809,6 +819,12 @@ def _repeat_first_qid(records):
             r["qid"] = first
 
 
+def _repeat_a_result(records):
+    """Show the first query with results its first result once more, at the end."""
+    query = next(r for r in records if r["type"] == "query" and r["results"])
+    query["results"].append(query["results"][0])
+
+
 # (file in the run directory, corruption, the stage that reads the file)
 FAULTS = {
     "log-session-not-string": ("out/log.jsonl", _edit_record(1, lambda r: r.update(session=5)),
@@ -817,8 +833,17 @@ FAULTS = {
     "log-infinite-time": ("out/log.jsonl", _edit_record(1, lambda r: r.update(t=float("inf"))),
                           ["chains"]),
     "log-repeated-qid": ("out/log.jsonl", _edit_records(_repeat_first_qid), ["chains"]),
+    "log-negative-time": ("out/log.jsonl", _edit_record(1, lambda r: r.update(t=-1)), ["chains"]),
+    "log-repeated-result": ("out/log.jsonl", _edit_records(_repeat_a_result), ["chains"]),
+    "log-terms-string": ("out/log.jsonl", _edit_record(1, lambda r: r.update(terms="abc")),
+                         ["chains"]),
+    "log-click-rank-0": ("out/log.jsonl", _edit_first_click(lambda shown: 0), ["chains"]),
+    "log-click-past-results": ("out/log.jsonl", _edit_first_click(lambda shown: shown + 1),
+                               ["chains"]),
     "chains-truncated-line": ("out/chains.jsonl", _edit_line(2, _truncate),
                               ["prefs", "--mode", "qc"]),
+    "chains-no-qids": ("out/chains.jsonl", _edit_record(1, lambda r: r.update(qids=[])),
+                       ["prefs", "--mode", "qc"]),
     "chains-array-line": ("out/chains.jsonl", _edit_line(2, lambda line: "[1]"),
                           ["prefs", "--mode", "qc"]),
     "chains-no-chain-id": ("out/chains.jsonl", _edit_record(1, lambda r: r.pop("chain_id")),
@@ -835,6 +860,10 @@ FAULTS = {
                              ["prefs", "--mode", "qc"]),
     "prefs-array-line": ("out/prefs_qc.jsonl", _edit_line(4, lambda line: "[1]"),
                          ["train", "--mode", "qc"]),
+    "prefs-unknown-strategy": ("out/prefs_qc.jsonl", _edit_record(1, lambda r: r.update(
+        strategy="S7")), ["train", "--mode", "qc"]),
+    "prefs-query-not-in-log": ("out/prefs_qc.jsonl", _edit_record(1, lambda r: r.update(wrt="zzz")),
+                               ["train", "--mode", "qc"]),
     "log-meta-truncated": ("out/log.jsonl.meta.json", _truncate, ["chains"]),
     "log-meta-array": ("out/log.jsonl.meta.json", lambda text: "[]", ["chains"]),
     "eval-truncated": ("out/eval_qc_vs_base.json", _truncate, ["report"]),

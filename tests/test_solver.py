@@ -85,6 +85,16 @@ def test_bound_feasibility_exact_even_unconverged():
     assert sol.weights[0] >= 0.5 and sol.weights[1] >= 0.5
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"C": 0.0}, "C must be positive, got 0.0"),
+    ({"bounded_dims": (2,), "dim": 2}, "bounded dim outside dimension"),
+    ({"dim": 0}, "constraint feature id 0 outside dimension 0"),
+], ids=["C-zero", "bounded-dim-outside", "constraint-id-outside"])
+def test_train_ranking_refuses_bad_input(options, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        train_ranking([constraint((0, 1.0))], **options)
+
+
 def random_instance(rng):
     dim = int(rng.integers(1, 6))
     n = int(rng.integers(1, 11))
