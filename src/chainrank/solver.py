@@ -241,7 +241,7 @@ def train_ranking(
         for c in constraints:
             if c.delta.ids:
                 dim = max(dim, c.delta.ids[-1] + 1)
-    if bounded and bounded[-1] >= dim:
+    if bounded and (bounded[0] < 0 or bounded[-1] >= dim):
         raise DataError("bounded dim outside dimension")
 
     row_pairs, counts, n_zero = _aggregate(constraints, dim)

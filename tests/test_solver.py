@@ -88,8 +88,9 @@ def test_bound_feasibility_exact_even_unconverged():
 @pytest.mark.parametrize("options, message", [
     ({"C": 0.0}, "C must be positive, got 0.0"),
     ({"bounded_dims": (2,), "dim": 2}, "bounded dim outside dimension"),
+    ({"bounded_dims": (-1,), "dim": 2}, "bounded dim outside dimension"),
     ({"dim": 0}, "constraint feature id 0 outside dimension 0"),
-], ids=["C-zero", "bounded-dim-outside", "constraint-id-outside"])
+], ids=["C-zero", "bounded-dim-outside", "bounded-dim-negative", "constraint-id-outside"])
 def test_train_ranking_refuses_bad_input(options, message):
     with pytest.raises(DataError, match=f"^{message}$"):
         train_ranking([constraint((0, 1.0))], **options)
